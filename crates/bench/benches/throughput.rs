@@ -1,14 +1,13 @@
-//! Component throughput: scheduler, all three execution engines,
-//! reference interpreter, and assembler, measured on suite programs.
+//! Component throughput: scheduler, both execution machines, reference
+//! interpreter, and assembler, measured on suite programs.
 //!
 //! The engine section is the headline: it runs every workload on the
-//! interpretive oracle, the pre-decoded fast engine, and the
-//! trace-chaining turbo engine, **fails on any disagreement** (outcome,
-//! statistics, live-out registers, memory), and reports simulated
-//! instructions per second for each. Turbo runs reuse one decoded
-//! program per workload (built outside the timed loop), matching the
-//! decode-once contract the `ProgramCache` gives the grid and serve
-//! workers in production.
+//! interpretive oracle and the compiled turbo machine (which the `fast`
+//! label also runs), **fails on any disagreement** (outcome, statistics,
+//! live-out registers, memory), and reports simulated instructions per
+//! second for each. Turbo runs reuse one decoded program per workload
+//! (built outside the timed loop), matching the decode-once contract
+//! the `ProgramCache` gives the grid and serve workers in production.
 //!
 //! ```text
 //! cargo bench --bench throughput                      # full run
@@ -18,8 +17,8 @@
 //! ```
 //!
 //! `--engine E` restricts the *timing* pass to one engine (the
-//! verification pass always covers all three); the JSON report carries
-//! a column per timed engine.
+//! verification pass always covers both); the JSON report carries a
+//! column per timed engine.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -40,7 +39,7 @@ use sentinel_sim::{Engine, SimSession, TurboProgram};
 
 use sentinel_workloads::{suite, Workload};
 
-const ALL_ENGINES: [Engine; 3] = [Engine::Interpreter, Engine::Fast, Engine::Turbo];
+const ALL_ENGINES: [Engine; 2] = [Engine::Interpreter, Engine::Turbo];
 
 struct Cli {
     quick: bool,
@@ -119,9 +118,8 @@ fn run_once(
     m.stats().dyn_insns
 }
 
-/// Runs `w` on all three engines and panics on any observable
-/// difference: outcome, statistics, live-out registers, or final
-/// memory.
+/// Runs `w` on both engines and panics on any observable difference:
+/// outcome, statistics, live-out registers, or final memory.
 fn assert_engines_agree(w: &Workload, cfg: &MeasureConfig, func: &Function) {
     let mut states = Vec::new();
     for engine in ALL_ENGINES {
@@ -136,11 +134,6 @@ fn assert_engines_agree(w: &Workload, cfg: &MeasureConfig, func: &Function) {
     }
     assert_eq!(
         states[0], states[1],
-        "{}: fast engine disagrees with the interpreter",
-        w.name
-    );
-    assert_eq!(
-        states[0], states[2],
         "{}: turbo engine disagrees with the interpreter",
         w.name
     );
@@ -165,14 +158,14 @@ impl EngineRow {
 fn bench_engines(quick: bool, only: Option<Engine>) -> Vec<EngineRow> {
     group("engines (sentinel model, issue 8)");
 
-    // Verification pass: the whole suite, all three engines, every run.
+    // Verification pass: the whole suite, both engines, every run.
     let workloads = suite::shared();
     for w in workloads.iter() {
         let (cfg, func) = sched_for(w);
         assert_engines_agree(w, &cfg, &func);
     }
     println!(
-        "   (all three engines agree on all {} suite workloads)",
+        "   (both engines agree on all {} suite workloads)",
         workloads.len()
     );
 
@@ -196,7 +189,7 @@ fn bench_engines(quick: bool, only: Option<Engine>) -> Vec<EngineRow> {
         let w = suite::by_name(name).unwrap();
         let (cfg, func) = sched_for(&w);
         let prog = Arc::new(TurboProgram::new(&func, &cfg.mdes()));
-        let dyn_insns = run_once(&w, &cfg, &func, Engine::Fast, &prog);
+        let dyn_insns = run_once(&w, &cfg, &func, Engine::Turbo, &prog);
         // Engines alternate within each timing round so host contention
         // cannot bias one engine's whole sample block; the min is the
         // uncontended-time estimate for each.
@@ -219,16 +212,12 @@ fn bench_engines(quick: bool, only: Option<Engine>) -> Vec<EngineRow> {
             ips.push((engine, v));
             let _ = write!(line, "   {engine} {v:>12.0} ips");
         }
-        let row = EngineRow {
+        println!("{line}");
+        rows.push(EngineRow {
             name: name.to_string(),
             dyn_insns,
             ips,
-        };
-        if let (Some(fast), Some(turbo)) = (row.ips_of(Engine::Fast), row.ips_of(Engine::Turbo)) {
-            let _ = write!(line, "   turbo/fast x{:.2}", turbo / fast);
-        }
-        println!("{line}");
-        rows.push(row);
+        });
     }
     rows
 }
@@ -288,7 +277,7 @@ fn geomean_ratio(rows: &[EngineRow], num: Engine, den: Engine) -> Option<f64> {
     (!ratios.is_empty()).then(|| geomean(ratios.iter().copied()))
 }
 
-fn write_json(path: &str, rows: &[EngineRow], grid: Option<[f64; 3]>) {
+fn write_json(path: &str, rows: &[EngineRow], grid: Option<[f64; 2]>) {
     let mut j = String::from("{\n  \"bench\": \"throughput\",\n  \"engines\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let mut fields = format!(
@@ -305,22 +294,14 @@ fn write_json(path: &str, rows: &[EngineRow], grid: Option<[f64; 3]>) {
         );
     }
     j.push_str("  ]");
-    if let Some(gm) = geomean_ratio(rows, Engine::Fast, Engine::Interpreter) {
-        let _ = write!(j, ",\n  \"geomean_fast_over_interpreter\": {gm:.2}");
-    }
-    if let Some(gm) = geomean_ratio(rows, Engine::Turbo, Engine::Fast) {
-        let _ = write!(j, ",\n  \"geomean_turbo_over_fast\": {gm:.2}");
-    }
     if let Some(gm) = geomean_ratio(rows, Engine::Turbo, Engine::Interpreter) {
         let _ = write!(j, ",\n  \"geomean_turbo_over_interpreter\": {gm:.2}");
     }
-    if let Some([interp_s, fast_s, turbo_s]) = grid {
+    if let Some([interp_s, turbo_s]) = grid {
         let _ = write!(
             j,
             ",\n  \"reproduce_grid\": {{\"interpreter_wall_s\": {interp_s:.2}, \
-             \"fast_wall_s\": {fast_s:.2}, \"turbo_wall_s\": {turbo_s:.2}, \
-             \"fast_speedup\": {:.2}, \"turbo_speedup\": {:.2}}}",
-            interp_s / fast_s,
+             \"turbo_wall_s\": {turbo_s:.2}, \"turbo_speedup\": {:.2}}}",
             interp_s / turbo_s
         );
     }
@@ -340,11 +321,9 @@ fn main() {
         group("reproduce grid (fig4+fig5+ablations), wall clock");
         let interp_s = reproduce_grid(Engine::Interpreter);
         println!("{:<36} {interp_s:>8.2}s", "grid/interpreter");
-        let fast_s = reproduce_grid(Engine::Fast);
-        println!("{:<36} {fast_s:>8.2}s", "grid/fast");
         let turbo_s = reproduce_grid(Engine::Turbo);
         println!("{:<36} {turbo_s:>8.2}s", "grid/turbo");
-        grid = Some([interp_s, fast_s, turbo_s]);
+        grid = Some([interp_s, turbo_s]);
     }
     if let Some(path) = &cli.json {
         write_json(path, &rows, grid);

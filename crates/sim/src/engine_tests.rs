@@ -1,7 +1,7 @@
-//! In-crate tests for both execution engines and the [`crate::sem`]
-//! layer's edge cases.
+//! In-crate tests for both machines and the [`crate::sem`] layer's edge
+//! cases.
 //!
-//! Engine construction (`Machine::create`, `FastMachine::new`) is
+//! Machine construction (`Machine::create`, `TurboMachine::new`) is
 //! crate-private, so the behavioural tests that predate [`SimSession`]
 //! live here rather than under `tests/`. Helpers shared with nothing
 //! else are in [`crate::testutil`].
@@ -757,91 +757,8 @@ mod interp {
     }
 }
 
-/// Fast engine vs interpreter spot checks (the broad net is the
+/// Compiled machine vs interpreter spot checks (the broad net is the
 /// differential fuzzer in `tests/fuzz_differential.rs`).
-mod fast {
-    use sentinel_isa::{Insn, Reg};
-    use sentinel_prog::ProgramBuilder;
-
-    use crate::fastpath::FastMachine;
-    use crate::machine::Machine;
-    use crate::testutil::{paper_mdes, spec_loop};
-    use crate::{RunOutcome, SimConfig};
-
-    #[test]
-    fn matches_interpreter_on_spec_loop() {
-        for width in [1usize, 2, 4, 8] {
-            let f = spec_loop();
-            let cfg = SimConfig::for_mdes(paper_mdes(width));
-
-            let mut interp = Machine::create(&f, cfg.clone());
-            interp.memory_mut().map_region(0x1000, 0x100);
-            interp.memory_mut().map_region(0x2000, 8);
-            for i in 0..4 {
-                interp
-                    .memory_mut()
-                    .write_word(0x1000 + 8 * i, 10 + i)
-                    .unwrap();
-            }
-            let io = interp.run().unwrap();
-
-            let mut fast = FastMachine::new(&f, cfg);
-            fast.memory_mut().map_region(0x1000, 0x100);
-            fast.memory_mut().map_region(0x2000, 8);
-            for i in 0..4 {
-                fast.memory_mut()
-                    .write_word(0x1000 + 8 * i, 10 + i)
-                    .unwrap();
-            }
-            let fo = fast.run().unwrap();
-
-            assert_eq!(io, fo, "outcome diverged at width {width}");
-            assert_eq!(
-                interp.stats(),
-                fast.stats(),
-                "stats diverged at width {width}"
-            );
-            assert_eq!(
-                interp.memory().read_word(0x2000).unwrap(),
-                fast.memory().read_word(0x2000).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn deferred_exception_matches() {
-        let mut b = ProgramBuilder::new("defer");
-        b.block("entry");
-        b.push(Insn::li(Reg::int(1), 0xdead0));
-        b.push(Insn::ld_w(Reg::int(2), Reg::int(1), 0).speculated());
-        b.push(Insn::check_exception(Reg::int(2)));
-        b.push(Insn::halt());
-        let f = b.finish();
-        let cfg = SimConfig::default();
-        let mut interp = Machine::create(&f, cfg.clone());
-        let mut fast = FastMachine::new(&f, cfg);
-        let io = interp.run().unwrap();
-        let fo = fast.run().unwrap();
-        assert_eq!(io, fo);
-        assert!(matches!(fo, RunOutcome::Trapped(_)));
-        assert_eq!(interp.stats(), fast.stats());
-    }
-
-    #[test]
-    fn fell_off_end_matches() {
-        let mut b = ProgramBuilder::new("off");
-        b.block("entry");
-        b.push(Insn::li(Reg::int(1), 1));
-        let f = b.finish();
-        let cfg = SimConfig::default();
-        let ie = Machine::create(&f, cfg.clone()).run().unwrap_err();
-        let fe = FastMachine::new(&f, cfg).run().unwrap_err();
-        assert_eq!(ie, fe);
-    }
-}
-
-/// Turbo engine vs interpreter spot checks (the broad net is the
-/// three-engine differential fuzzer in `tests/fuzz_differential.rs`).
 mod turbo {
     use std::sync::Arc;
 
@@ -934,7 +851,7 @@ mod turbo {
 }
 
 /// Store-buffer and boost edge cases exercised directly at the sem
-/// layer, where both engines' behaviour is actually defined.
+/// layer, where both machines' behaviour is actually defined.
 mod sem_edges {
     use sentinel_isa::{InsnId, Reg};
 

@@ -7,12 +7,14 @@
 //! * [`exec`] — functional instruction semantics with the paper's trap
 //!   model (loads, stores, integer divide, all fp instructions),
 //! * [`SimSession`] — the session API: pick an [`Engine`], configure,
-//!   run. [`Engine::Interpreter`] is the block-walking [`Machine`];
-//!   [`Engine::Fast`] executes from a pre-decoded dense form;
-//!   [`Engine::Turbo`] executes an owned, shareable decode
-//!   ([`TurboProgram`]) with chained traces and fused micro-op pairs,
-//!   reusable across sessions through a [`ProgramCache`]. All three
-//!   route every architectural rule through [`sem`],
+//!   run. Two machines sit behind three labels:
+//!   [`Engine::Interpreter`] is the block-walking [`Machine`], the
+//!   oracle; [`Engine::Fast`] (the default) and [`Engine::Turbo`] run
+//!   the compiled machine over an owned decode ([`TurboProgram`]) with
+//!   chained traces and fused micro-op pairs — `Turbo` is the label
+//!   whose decode callers share across sessions through a
+//!   [`ProgramCache`]. Both machines route every architectural rule
+//!   through [`sem`],
 //! * [`sem`] — the single-source-of-truth semantics layer: **Table 1**
 //!   (exception detection with sentinel scheduling), **Table 2**
 //!   (store-buffer insertion with probationary entries), boosting
@@ -62,8 +64,6 @@ pub mod sem;
 pub mod stats;
 pub mod verify;
 
-mod decode;
-mod fastpath;
 mod machine;
 mod progcache;
 mod session;
@@ -73,9 +73,6 @@ mod turbo;
 mod engine_tests;
 #[cfg(test)]
 mod testutil;
-
-/// The store buffer module, re-exported at its historical path.
-pub use sem::storebuf;
 
 pub use except::{ExceptionKind, PcHistoryQueue, Trap};
 pub use machine::{Machine, Recovery, RunOutcome, SimConfig, SimError, TraceEvent};

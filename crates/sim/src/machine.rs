@@ -8,8 +8,8 @@
 //!
 //! The *architectural* semantics — what each instruction does to
 //! registers, tags, memory, the store buffer, and shadow (boosted)
-//! state — live in [`crate::sem`] and are shared verbatim with the fast
-//! engine. This module owns only the interpreter's timing model:
+//! state — live in [`crate::sem`] and are shared verbatim with the
+//! compiled machine. This module owns only the interpreter's timing model:
 //!
 //! * up to `issue_width` instructions issue per cycle, in order, with at
 //!   most one branch per cycle;

@@ -1,11 +1,11 @@
 //! The single-source-of-truth architectural semantics layer.
 //!
-//! Both execution engines — the block-walking interpreter
-//! ([`Machine`](crate::Machine)) and the pre-decoded fast loop behind
-//! [`Engine::Fast`](crate::Engine::Fast) — are *timing* machines: they
-//! decide when an instruction issues and what each stall costs. What an
-//! instruction *does* to architectural state is defined exactly once,
-//! here:
+//! Both machines — the block-walking interpreter
+//! ([`Machine`](crate::Machine)) and the compiled machine behind the
+//! `fast` and `turbo` engine labels (see [`Engine`](crate::Engine)) —
+//! are *timing* machines: they decide when an instruction issues and
+//! what each stall costs. What an instruction *does* to architectural
+//! state is defined exactly once, here:
 //!
 //! * `tag` — Table 1: the register exception-tag read/propagate/report
 //!   rules for computational instructions, plus the alternative §2.4
@@ -23,7 +23,7 @@
 //! fetch, issue, the register scoreboard, and stall attribution to
 //! themselves and route every architectural effect through this module,
 //! so a semantic rule is written once and the differential fuzzer
-//! (`tests/fuzz_differential.rs`) holds both engines to byte-identical
+//! (`tests/fuzz_differential.rs`) holds both machines to byte-identical
 //! behaviour on top of it.
 
 pub(crate) mod boost;

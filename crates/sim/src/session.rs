@@ -1,4 +1,4 @@
-//! The simulation-session API: one builder, two engines.
+//! The simulation-session API: one builder, two machines, three labels.
 //!
 //! [`SimSession`] replaces the old `Machine::new` + mutate + `run` dance
 //! with a builder that names every choice up front:
@@ -23,11 +23,14 @@
 //! assert_eq!(s.reg(Reg::int(1)).as_i64(), 42);
 //! ```
 //!
-//! The [`Engine`] choice selects the execution strategy behind an
-//! otherwise identical surface: [`Engine::Interpreter`] walks the block
-//! graph instruction by instruction (the correctness oracle), while
-//! [`Engine::Fast`] (the default) runs the pre-decoded form produced by
-//! the one-time lowering pass. The differential suite holds the two to
+//! The [`Engine`] choice selects the machine behind an otherwise
+//! identical surface: [`Engine::Interpreter`] walks the block graph
+//! instruction by instruction (the correctness oracle), while
+//! [`Engine::Fast`] (the default) and [`Engine::Turbo`] both run the
+//! compiled machine over a [`TurboProgram`] decode. The two labels stay
+//! distinct because job specs, cache keys, and response bodies carry
+//! them; they differ only in where the decode comes from (see
+//! [`Engine`]). The differential suite holds the two machines to
 //! identical outcomes, statistics, architectural state, and trace-event
 //! streams.
 
@@ -39,7 +42,6 @@ use sentinel_prog::Function;
 use sentinel_trace::TraceSink;
 
 use crate::except::{PcHistoryQueue, Trap};
-use crate::fastpath::FastMachine;
 use crate::machine::{Machine, Recovery, RunOutcome, SimConfig, SimError, TraceEvent};
 use crate::memory::Memory;
 use crate::regfile::TaggedValue;
@@ -47,22 +49,24 @@ use crate::stats::Stats;
 use crate::turbo::{TurboMachine, TurboProgram};
 
 /// Which execution engine a [`SimSession`] runs on.
+///
+/// Three labels over two machines: `Fast` and `Turbo` run the same
+/// compiled machine, so every observable matches across them (and the
+/// interpreter). The label is part of the job's identity — it appears
+/// in spec hashes and serve response bodies — which is why both stay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The interpretive machine: walks the block graph directly. Slower,
     /// structurally simple — the differential-testing oracle.
     Interpreter,
-    /// The pre-decoded engine: one-time lowering to a dense program,
-    /// executed by a flat-pc loop. Semantically identical to the
-    /// interpreter and the default for measurement workloads.
+    /// The compiled machine on a decode private to the session (built
+    /// by [`SimSessionBuilder::build`] and dropped with the session).
+    /// The default for measurement workloads.
     #[default]
     Fast,
-    /// The trace-chaining engine: an *owned*, shareable decode
-    /// ([`TurboProgram`](crate::TurboProgram)) executed with fused
-    /// micro-op pairs and a ready-mask scoreboard. Semantically
-    /// identical to the other two; the throughput choice for large
-    /// grids, and the only engine whose decode can be reused through a
-    /// [`ProgramCache`](crate::ProgramCache).
+    /// The compiled machine on a decode callers may share: pass a
+    /// [`TurboProgram`] kept in a [`ProgramCache`](crate::ProgramCache)
+    /// to [`SimSessionBuilder::program`] to decode once per process.
     Turbo,
 }
 
@@ -122,7 +126,7 @@ impl<'a> SimSessionBuilder<'a> {
         self
     }
 
-    /// Supplies a pre-decoded program (selects [`Engine::Turbo`]). The
+    /// Supplies a shared decode (selects [`Engine::Turbo`]). The
     /// program must have been decoded from this builder's function with
     /// the machine description the config will carry — callers reusing
     /// decodes through a [`ProgramCache`](crate::ProgramCache) key on
@@ -142,8 +146,7 @@ impl<'a> SimSessionBuilder<'a> {
             engine: self.engine,
             inner: match self.engine {
                 Engine::Interpreter => Inner::Interp(Machine::create(self.func, self.config)),
-                Engine::Fast => Inner::Fast(FastMachine::new(self.func, self.config)),
-                Engine::Turbo => {
+                Engine::Fast | Engine::Turbo => {
                     let prog = self.program.unwrap_or_else(|| {
                         Arc::new(TurboProgram::new(self.func, &self.config.mdes))
                     });
@@ -160,7 +163,6 @@ impl<'a> SimSessionBuilder<'a> {
 
 enum Inner<'a> {
     Interp(Machine<'a>),
-    Fast(FastMachine<'a>),
     Turbo(TurboMachine),
 }
 
@@ -178,14 +180,12 @@ macro_rules! delegate {
     ($self:ident, $m:ident $(, $arg:expr)*) => {
         match &$self.inner {
             Inner::Interp(m) => m.$m($($arg),*),
-            Inner::Fast(m) => m.$m($($arg),*),
             Inner::Turbo(m) => m.$m($($arg),*),
         }
     };
     (mut $self:ident, $m:ident $(, $arg:expr)*) => {
         match &mut $self.inner {
             Inner::Interp(m) => m.$m($($arg),*),
-            Inner::Fast(m) => m.$m($($arg),*),
             Inner::Turbo(m) => m.$m($($arg),*),
         }
     };
@@ -322,13 +322,14 @@ mod tests {
         let f = demo();
         let s = SimSession::for_function(&f).build();
         assert_eq!(s.engine(), Engine::Fast);
+        assert!(matches!(s.inner, Inner::Turbo(_)));
     }
 
     #[test]
-    fn all_engines_run_and_agree() {
+    fn both_machines_run_and_agree() {
         let f = demo();
         let mut outcomes = Vec::new();
-        for engine in [Engine::Interpreter, Engine::Fast, Engine::Turbo] {
+        for engine in [Engine::Interpreter, Engine::Turbo] {
             let mut s = SimSession::for_function(&f).engine(engine).build();
             s.memory_mut().map_region(0x1000, 8);
             s.memory_mut().write_word(0x1000, 99).unwrap();
@@ -336,7 +337,6 @@ mod tests {
             outcomes.push((o, *s.stats(), s.reg(Reg::int(2)).data));
         }
         assert_eq!(outcomes[0], outcomes[1]);
-        assert_eq!(outcomes[0], outcomes[2]);
         assert_eq!(outcomes[0].2, 99);
     }
 

@@ -1,14 +1,20 @@
-//! The turbo execution engine: owned decode, chained traces, fused
+//! The compiled execution engine: owned decode, chained traces, fused
 //! micro-ops, and a ready-mask scoreboard.
 //!
-//! [`TurboMachine`] is the third engine behind
-//! [`SimSession`](crate::SimSession). It executes a [`TurboProgram`] —
-//! an *owned*, shareable lowering built on the same decode pass as the
-//! fast engine — with three additional optimizations, all confined to
-//! dispatch (every architectural rule still routes through
-//! [`crate::sem`], and the timing model is byte-for-byte the fast
-//! engine's):
+//! [`TurboMachine`] is the throughput engine behind
+//! [`SimSession`](crate::SimSession); the `fast` and `turbo` engine
+//! labels both run it. It executes a [`TurboProgram`] — a one-time,
+//! *owned* lowering of the block graph — and shares every
+//! architectural rule with the interpreter through [`crate::sem`]; only
+//! dispatch and the (deliberately identical) timing model are local:
 //!
+//! * **Decode once** — the interpreter walks the block graph as it
+//!   executes: every fallthrough re-scans the layout, every operand
+//!   probes a hashed scoreboard, and every issue re-derives the
+//!   opcode's latency and class. [`TurboProgram::new`] pays those costs
+//!   once: a flat instruction array in layout order with dense
+//!   scoreboard slots, pre-looked-up latencies, and pre-computed
+//!   branch/sentinel classification.
 //! * **Superblock trace chaining** — control transfers are pre-resolved
 //!   at decode time to flat indices plus the exact block-entry chains
 //!   the interpreter's profile would record, so the hot loop never
@@ -33,20 +39,19 @@
 //! process, not once per run.
 //!
 //! When a trace sink is attached or trace collection is on, the engine
-//! falls back to an instrumented per-instruction loop that mirrors the
-//! fast engine exactly (same events, same journal drain points); the
-//! differential suite and the seeded fuzzer hold all three engines to
+//! runs an instrumented per-instruction loop that emits the
+//! interpreter's events at the interpreter's journal drain points; the
+//! differential suite and the seeded fuzzer hold the two machines to
 //! identical outcomes, statistics, architectural state, and
 //! trace-event streams.
 
 use std::sync::Arc;
 
-use sentinel_isa::{Insn, InsnId, MachineDesc, Opcode, Reg};
+use sentinel_isa::{BlockId, Insn, InsnId, MachineDesc, OpClass, Opcode, Reg, RegClass};
 use sentinel_prog::profile::Profile;
 use sentinel_prog::Function;
 use sentinel_trace::{Event, EventKind, StallReason, TraceSink};
 
-use crate::decode::{DecodedProgram, ResEnd, Resolution, NONE};
 use crate::except::{ExceptionKind, PcHistoryQueue, Trap};
 use crate::exec::branch_taken;
 use crate::hash::FastMap;
@@ -57,6 +62,29 @@ use crate::sem::storebuf::{SbEvent, StoreBuffer};
 use crate::sem::{self, ArchState};
 use crate::stats::Stats;
 use crate::{Recovery, RunOutcome, SimConfig, SimError, TraceEvent};
+
+/// Sentinel index meaning "no register / no resolution".
+const NONE: u32 = u32::MAX;
+
+/// Where control ends up after following a block-entry chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ResEnd {
+    /// Execution continues at this flat instruction index.
+    At(u32),
+    /// Control fell off the end of the layout inside this block.
+    FellOff(BlockId),
+}
+
+/// A pre-resolved control transfer: the blocks entered (in the order the
+/// interpreter's profile would record them, following empty-block
+/// fallthrough chains) and the final destination.
+#[derive(Debug, Clone)]
+struct Resolution {
+    /// Blocks entered from the top, in order.
+    enters: Vec<BlockId>,
+    /// Final destination.
+    end: ResEnd,
+}
 
 /// Dense dispatch class, precomputed from the opcode at decode time so
 /// the hot loop switches on a handful of handler kinds instead of the
@@ -122,12 +150,24 @@ enum Fuse {
 /// [`TurboProgram::insns`].
 #[derive(Debug, Clone)]
 struct Meta {
+    /// Operation latency from the machine description.
     lat: u64,
+    /// Scoreboard slot of `src1` ([`NONE`] if absent).
     src1: u32,
+    /// Scoreboard slot of `src2` ([`NONE`] if absent).
     src2: u32,
+    /// Scoreboard slot of the architectural def ([`NONE`] if the
+    /// instruction defines nothing — including writes to `r0`).
     dest: u32,
+    /// Scoreboard slot of the raw `dest` operand, `r0` included (the
+    /// load paths score the destination without the `def()` filter,
+    /// exactly as the interpreter does).
     raw_dest: u32,
+    /// Resolution index of the branch/jump target ([`NONE`] if none).
     target: u32,
+    /// Resolution index to follow when execution advances past this
+    /// instruction and it is the last of its block ([`NONE`] mid-block,
+    /// where the successor is simply the next flat index).
     fall: u32,
     /// Combined ready-mask pre-test: both source slots are ready when
     /// `ready_mask[rm_w1] & rm_b1 == 0 && ready_mask[rm_w2] & rm_b2 == 0`
@@ -141,80 +181,180 @@ struct Meta {
     spec_inc: u64,
     /// Branchless `dyn_boosted` increment (1 iff boosted).
     boost_inc: u64,
+    /// `true` if the opcode occupies the per-cycle branch slot.
     is_branch: bool,
+    /// Stall reason charged while waiting for this instruction's sources.
     wait: StallReason,
     kind: Kind,
     fuse: Fuse,
 }
 
-/// A function lowered into the turbo engine's owned, shareable form.
+/// A function lowered into the engine's owned, shareable form.
 ///
-/// Unlike the fast engine's borrowed decode, a `TurboProgram` owns a
-/// clone of every instruction, so it has no lifetime tie to the
-/// scheduled function and can be kept in a [`ProgramCache`]
-/// (`Arc`-shared across threads and sessions). Decode once, run many.
+/// A `TurboProgram` owns a copy of every instruction, so it has no
+/// lifetime tie to the scheduled function and can be kept in a
+/// [`ProgramCache`] (`Arc`-shared across threads and sessions). Decode
+/// once, run many.
 ///
 /// [`ProgramCache`]: crate::ProgramCache
 #[derive(Debug, Clone)]
 pub struct TurboProgram {
-    /// Flat instruction array in layout order (the decode pass's flat
-    /// order; indices here are the engine's program counter).
+    /// Flat instruction array: layout blocks first (first occurrence
+    /// order), then any non-layout blocks (reachable only by jump).
+    /// Indices here are the engine's program counter.
     insns: Vec<Insn>,
     /// Per-instruction decode metadata, aligned with `insns`.
     meta: Vec<Meta>,
-    /// Pre-resolved control-transfer chains.
+    /// Block-entry chains, indexed by [`Meta::target`], [`Meta::fall`],
+    /// and `entry`.
     resolutions: Vec<Resolution>,
+    /// Resolution for entering the function at its entry block.
     entry: u32,
+    /// Number of integer scoreboard slots (fp registers follow).
     int_slots: usize,
+    /// Total scoreboard slots (`int + fp`).
     slots: usize,
+    /// Flat index of every instruction id (recovery resume targets).
     flat_of: FastMap<InsnId, u32>,
 }
 
 impl TurboProgram {
-    /// Lowers `func` for execution on `mdes`, chaining control
-    /// transfers and marking fusible micro-op pairs.
+    /// Lowers `func` for execution on `mdes`: flattens the layout,
+    /// chains control transfers, and marks fusible micro-op pairs.
     pub fn new(func: &Function, mdes: &MachineDesc) -> TurboProgram {
-        let d = DecodedProgram::new(func, mdes);
-        let insns: Vec<Insn> = d.insns.iter().map(|di| di.raw.clone()).collect();
-        let mut meta: Vec<Meta> = d
-            .insns
+        let (mi, mf) = func.max_reg_indices();
+        let int_slots = mdes.int_regs().max(mi.map_or(0, |i| i as usize + 1));
+        let fp_slots = mdes.fp_regs().max(mf.map_or(0, |i| i as usize + 1));
+        let reg_index = |r: Reg| -> u32 {
+            match r.class() {
+                RegClass::Int => r.index() as u32,
+                RegClass::Fp => (int_slots + r.index() as usize) as u32,
+            }
+        };
+
+        // Flatten: layout blocks (first occurrence), then non-layout
+        // blocks, recording each block's first flat instruction index.
+        let block_count = func
+            .blocks()
+            .map(|b| b.id.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut first_flat: Vec<u32> = vec![NONE; block_count];
+        let mut order: Vec<BlockId> = Vec::with_capacity(block_count);
+        let mut seen = vec![false; block_count];
+        for b in func
+            .layout()
             .iter()
-            .map(|di| {
-                let (mut rm_w1, mut rm_b1, mut rm_w2, mut rm_b2) = (0u32, 0u64, 0u32, 0u64);
-                for s in [di.src1, di.src2] {
-                    if s == NONE {
-                        continue;
-                    }
-                    let (w, b) = (s >> 6, 1u64 << (s & 63));
-                    if rm_b1 == 0 || w == rm_w1 {
-                        rm_w1 = w;
-                        rm_b1 |= b;
-                    } else {
-                        rm_w2 = w;
-                        rm_b2 |= b;
-                    }
+            .copied()
+            .chain(func.blocks().map(|b| b.id))
+        {
+            if !seen[b.0 as usize] {
+                seen[b.0 as usize] = true;
+                order.push(b);
+            }
+        }
+        let mut insns: Vec<Insn> = Vec::with_capacity(func.insn_count());
+        let mut last_of_block: Vec<Option<BlockId>> = Vec::with_capacity(func.insn_count());
+        for &b in &order {
+            let block = &func.block(b).insns;
+            if block.is_empty() {
+                continue;
+            }
+            first_flat[b.0 as usize] = insns.len() as u32;
+            insns.extend(block.iter().cloned());
+            last_of_block.resize(insns.len() - 1, None);
+            last_of_block.push(Some(b));
+        }
+
+        // Resolutions: one per block for "enter this block" (jump targets
+        // and fallthrough chains), plus one per block for "fell off the
+        // end here" (last instruction of a block with no layout
+        // successor).
+        let mut resolutions: Vec<Resolution> = Vec::new();
+        let mut enter_res: Vec<u32> = vec![NONE; block_count];
+        for &b in &order {
+            let mut enters = vec![b];
+            let mut cur = b;
+            let end = loop {
+                if !func.block(cur).insns.is_empty() {
+                    break ResEnd::At(first_flat[cur.0 as usize]);
                 }
-                Meta {
-                    lat: di.lat,
-                    src1: di.src1,
-                    src2: di.src2,
-                    dest: di.dest,
-                    raw_dest: di.raw_dest,
-                    target: di.target,
-                    fall: di.fall,
-                    rm_w1,
-                    rm_b1,
-                    rm_w2,
-                    rm_b2,
-                    spec_inc: u64::from(di.raw.speculative),
-                    boost_inc: u64::from(di.raw.boost > 0),
-                    is_branch: di.is_branch,
-                    wait: di.wait,
-                    kind: Kind::of(di.raw.op),
-                    fuse: Fuse::None,
+                match func.fallthrough_of(cur) {
+                    Some(next) => {
+                        enters.push(next);
+                        cur = next;
+                    }
+                    None => break ResEnd::FellOff(cur),
                 }
-            })
-            .collect();
+            };
+            enter_res[b.0 as usize] = resolutions.len() as u32;
+            resolutions.push(Resolution { enters, end });
+        }
+        let mut fell_res: Vec<u32> = vec![NONE; block_count];
+        let mut fall_for = |b: BlockId, resolutions: &mut Vec<Resolution>| -> u32 {
+            match func.fallthrough_of(b) {
+                Some(ft) => enter_res[ft.0 as usize],
+                None => {
+                    if fell_res[b.0 as usize] == NONE {
+                        fell_res[b.0 as usize] = resolutions.len() as u32;
+                        resolutions.push(Resolution {
+                            enters: Vec::new(),
+                            end: ResEnd::FellOff(b),
+                        });
+                    }
+                    fell_res[b.0 as usize]
+                }
+            }
+        };
+
+        let mut meta: Vec<Meta> = Vec::with_capacity(insns.len());
+        let mut flat_of = FastMap::default();
+        for (idx, insn) in insns.iter().enumerate() {
+            flat_of.insert(insn.id, idx as u32);
+            let (src1, src2) = (
+                insn.src1.map_or(NONE, reg_index),
+                insn.src2.map_or(NONE, reg_index),
+            );
+            let (mut rm_w1, mut rm_b1, mut rm_w2, mut rm_b2) = (0u32, 0u64, 0u32, 0u64);
+            for s in [src1, src2] {
+                if s == NONE {
+                    continue;
+                }
+                let (w, b) = (s >> 6, 1u64 << (s & 63));
+                if rm_b1 == 0 || w == rm_w1 {
+                    rm_w1 = w;
+                    rm_b1 |= b;
+                } else {
+                    rm_w2 = w;
+                    rm_b2 |= b;
+                }
+            }
+            meta.push(Meta {
+                lat: mdes.latency(insn.op) as u64,
+                src1,
+                src2,
+                dest: insn.def().map_or(NONE, reg_index),
+                raw_dest: insn.dest.map_or(NONE, reg_index),
+                target: insn.target.map_or(NONE, |t| enter_res[t.0 as usize]),
+                fall: match last_of_block[idx] {
+                    Some(b) => fall_for(b, &mut resolutions),
+                    None => NONE,
+                },
+                rm_w1,
+                rm_b1,
+                rm_w2,
+                rm_b2,
+                spec_inc: u64::from(insn.speculative),
+                boost_inc: u64::from(insn.boost > 0),
+                is_branch: insn.op.class() == OpClass::Branch,
+                wait: match insn.op {
+                    Opcode::CheckExcept | Opcode::ConfirmStore => StallReason::SentinelOverhead,
+                    _ => StallReason::RawInterlock,
+                },
+                kind: Kind::of(insn.op),
+                fuse: Fuse::None,
+            });
+        }
         // Fusion pass: pair an instruction with its successor only when
         // the successor is unconditionally next (mid-block, `fall` not
         // set), so a fused step never crosses a block boundary.
@@ -235,11 +375,11 @@ impl TurboProgram {
         TurboProgram {
             insns,
             meta,
-            resolutions: d.resolutions,
-            entry: d.entry,
-            int_slots: d.int_slots,
-            slots: d.slots,
-            flat_of: d.flat_of,
+            resolutions,
+            entry: enter_res[func.entry().0 as usize],
+            int_slots,
+            slots: int_slots + fp_slots,
+            flat_of,
         }
     }
 
@@ -312,7 +452,7 @@ pub(crate) struct TurboMachine {
     // hot loop instead bumps one array slot (indexed by resolution or
     // flat pc) and `flush_observables` folds the counts into the
     // canonical forms on every run exit, so `profile()` and
-    // `pc_history()` read back exactly what the other engines produce.
+    // `pc_history()` read back exactly what the interpreter produces.
     /// Entry count per resolution index.
     res_counts: Vec<u64>,
     /// Execution count per flat index (control-transfer instructions).
@@ -326,8 +466,8 @@ pub(crate) struct TurboMachine {
     pc_depth: usize,
 }
 
-// The evaluation grid runs cells on scoped worker threads; the turbo
-// engine must move there exactly like the other two.
+// The evaluation grid runs cells on scoped worker threads; the engine
+// must move there exactly like the interpreter.
 const _: () = {
     const fn send<T: Send>() {}
     send::<TurboMachine>();
@@ -335,8 +475,8 @@ const _: () = {
 
 impl TurboMachine {
     /// Creates an engine over a (possibly cache-shared) decoded program.
-    /// Register-file sizing matches the other engines: the larger of
-    /// the machine description and the registers the program names.
+    /// Register-file sizing matches the interpreter: the larger of the
+    /// machine description and the registers the program names.
     pub fn new(prog: Arc<TurboProgram>, config: SimConfig) -> TurboMachine {
         let fp_slots = prog.slots - prog.int_slots;
         TurboMachine {
@@ -570,15 +710,14 @@ impl TurboMachine {
         let prog = Arc::clone(&self.prog);
         let mut pc = self.enter(&prog, prog.entry)?;
         loop {
-            // The instrumented loop mirrors the fast engine exactly
-            // (same event construction, same journal drain points); the
-            // bare loop is the optimized path the instrumentation-free
-            // common case runs on.
+            // The instrumented loop emits the interpreter's events at
+            // its journal drain points; the bare loop is the optimized
+            // path the instrumentation-free common case runs on.
             let step = if self.sink_active || self.config.collect_trace {
                 if self.stats.dyn_insns >= self.config.fuel {
                     return Err(SimError::OutOfFuel);
                 }
-                let step = self.exec_insn::<true>(&prog, pc)?;
+                let step = self.exec_insn(&prog, pc)?;
                 self.drain_journals();
                 match step {
                     Step::Continue => {
@@ -1243,7 +1382,7 @@ impl TurboMachine {
     /// Issue-slot arbitration with a straight-line fast path: when the
     /// sources are ready and a slot (and branch slot, if needed) is
     /// free this cycle, issue immediately; otherwise fall into the
-    /// stall-attributing slow path shared with the other engines.
+    /// stall-attributing slow path shared with the interpreter.
     #[inline]
     fn issue_at(&mut self, min_cycle: u64, is_branch: bool, wait: StallReason) -> u64 {
         if min_cycle <= self.cycle
@@ -1352,44 +1491,38 @@ impl TurboMachine {
         }
     }
 
-    /// Executes the instruction at flat index `pc`: timing here,
-    /// architectural semantics in [`crate::sem`] (Tables 1 and 2) over
-    /// the decoded form. `TRACED` compiles the event-construction and
-    /// trace-collection sites in (instrumented loop) or out (bare loop).
-    fn exec_insn<const TRACED: bool>(
-        &mut self,
-        prog: &TurboProgram,
-        pc: u32,
-    ) -> Result<Step, SimError> {
+    /// Executes the instruction at flat index `pc` for the instrumented
+    /// loop: timing and event construction here, architectural
+    /// semantics in [`crate::sem`] (Tables 1 and 2) over the decoded
+    /// form. The bare loop is `run_bare`'s inlined twin of this method.
+    fn exec_insn(&mut self, prog: &TurboProgram, pc: u32) -> Result<Step, SimError> {
         let m = &prog.meta[pc as usize];
         let insn = &prog.insns[pc as usize];
         let (lat, dest_slot, raw_dest_slot, target_res) = (m.lat, m.dest, m.raw_dest, m.target);
         let kind = m.kind;
         let issue = self.prologue(m, insn);
-        if TRACED {
-            if self.sink_active {
-                self.last_issue = issue;
-                self.last_insn = insn.id;
-                let done = issue + lat;
-                let slot = (self.slots_used - 1).min(u8::MAX as usize) as u8;
-                self.emit(Event {
-                    cycle: issue,
-                    slot,
-                    kind: EventKind::Issue {
-                        pc: insn.id,
-                        text: insn.to_string(),
-                        done,
-                    },
-                });
-            }
-            if self.config.collect_trace {
-                self.trace.push(TraceEvent {
-                    cycle: issue,
-                    id: insn.id,
+        if self.sink_active {
+            self.last_issue = issue;
+            self.last_insn = insn.id;
+            let done = issue + lat;
+            let slot = (self.slots_used - 1).min(u8::MAX as usize) as u8;
+            self.emit(Event {
+                cycle: issue,
+                slot,
+                kind: EventKind::Issue {
+                    pc: insn.id,
                     text: insn.to_string(),
-                    taken: false,
-                });
-            }
+                    done,
+                },
+            });
+        }
+        if self.config.collect_trace {
+            self.trace.push(TraceEvent {
+                cycle: issue,
+                id: insn.id,
+                text: insn.to_string(),
+                taken: false,
+            });
         }
 
         match kind {
@@ -1469,7 +1602,7 @@ impl TurboMachine {
             Kind::Check | Kind::Compute => {
                 if kind == Kind::Check {
                     self.stats.dyn_checks += 1;
-                    if TRACED && self.sink_active {
+                    if self.sink_active {
                         let excepted = self.arch().first_tagged(insn).is_some();
                         let reg = insn.src1.unwrap_or(Reg::ZERO);
                         self.emit(Event::at(issue, EventKind::TagCheck { reg, excepted }));
@@ -1488,5 +1621,107 @@ impl TurboMachine {
 
     fn redirect(&mut self, branch_issue: u64) {
         self.advance_cycle(branch_issue + 1, StallReason::BranchRedirect);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sentinel_isa::LatencyTable;
+    use sentinel_prog::ProgramBuilder;
+
+    fn mdes() -> MachineDesc {
+        MachineDesc::builder()
+            .issue_width(2)
+            .latencies(LatencyTable::paper())
+            .build()
+    }
+
+    #[test]
+    fn flat_order_and_falls() {
+        let mut b = ProgramBuilder::new("f");
+        b.block("e");
+        b.push(Insn::li(Reg::int(1), 1));
+        b.push(Insn::li(Reg::int(2), 2));
+        let tail = b.block("tail");
+        b.switch_to(tail);
+        b.push(Insn::halt());
+        let f = b.finish();
+        let p = TurboProgram::new(&f, &mdes());
+        assert_eq!(p.len(), 3);
+        // Mid-block instruction: successor is just idx + 1.
+        assert_eq!(p.meta[0].fall, NONE);
+        // Last of entry block: fallthrough resolution entering `tail`.
+        let fall = p.meta[1].fall;
+        assert_ne!(fall, NONE);
+        assert_eq!(p.resolutions[fall as usize].enters, vec![tail]);
+        assert_eq!(p.resolutions[fall as usize].end, ResEnd::At(2));
+        // Last instruction of the last block: falling off reports it.
+        let off = p.meta[2].fall;
+        assert_eq!(p.resolutions[off as usize].end, ResEnd::FellOff(tail));
+    }
+
+    #[test]
+    fn empty_block_chains_collapse() {
+        let mut b = ProgramBuilder::new("f");
+        b.block("e");
+        b.push(Insn::li(Reg::int(1), 1));
+        let e1 = b.block("empty1");
+        let e2 = b.block("empty2");
+        let end = b.block("end");
+        b.switch_to(end);
+        b.push(Insn::halt());
+        let f = b.finish();
+        let p = TurboProgram::new(&f, &mdes());
+        let fall = p.meta[0].fall;
+        let res = &p.resolutions[fall as usize];
+        // The chain enters both empty blocks before landing on `halt`.
+        assert_eq!(res.enters.len(), 3);
+        assert_eq!(res.enters[0], e1);
+        assert_eq!(res.enters[1], e2);
+        assert_eq!(res.end, ResEnd::At(1));
+    }
+
+    #[test]
+    fn scoreboard_indices_split_classes() {
+        let mut b = ProgramBuilder::new("f");
+        b.block("e");
+        b.push(Insn::alu(
+            Opcode::Add,
+            Reg::int(3),
+            Reg::int(1),
+            Reg::int(2),
+        ));
+        b.push(Insn::alu(Opcode::FAdd, Reg::fp(4), Reg::fp(1), Reg::fp(2)));
+        b.push(Insn::alu(Opcode::Add, Reg::ZERO, Reg::int(1), Reg::int(2)));
+        b.push(Insn::halt());
+        let f = b.finish();
+        let p = TurboProgram::new(&f, &mdes());
+        assert_eq!(p.meta[0].src1, 1);
+        assert_eq!(p.meta[0].dest, 3);
+        assert_eq!(p.meta[1].src1 as usize, p.int_slots + 1);
+        assert_eq!(p.meta[1].dest as usize, p.int_slots + 4);
+        // r0 def is filtered, but the raw dest index survives for the
+        // load-path scoreboard writes.
+        assert_eq!(p.meta[2].dest, NONE);
+        assert_eq!(p.meta[2].raw_dest, 0);
+        assert!(p.slots > p.int_slots);
+    }
+
+    #[test]
+    fn latency_and_branch_class_precomputed() {
+        let mut b = ProgramBuilder::new("f");
+        let e = b.block("e");
+        b.push(Insn::alu(Opcode::FMul, Reg::fp(1), Reg::fp(1), Reg::fp(1)));
+        b.push(Insn::jump(e));
+        let f = b.finish();
+        let m = mdes();
+        let p = TurboProgram::new(&f, &m);
+        assert_eq!(p.meta[0].lat, m.latency(Opcode::FMul) as u64);
+        assert!(!p.meta[0].is_branch);
+        assert!(p.meta[1].is_branch);
+        let t = p.meta[1].target;
+        assert_eq!(p.resolutions[t as usize].end, ResEnd::At(0));
+        assert_eq!(p.resolutions[t as usize].enters, vec![e]);
     }
 }

@@ -32,10 +32,6 @@
 //! 16+k+b  8     FNV-1a of key ++ body (u64 LE)
 //! ```
 //!
-//! Files written by the pre-extraction serve cache open with
-//! `"SRVCACH1"`; reads accept both magics so existing spill
-//! directories stay warm across the upgrade, writes use the new one.
-//!
 //! The full key is stored, so a warm load indexes by key, not by the
 //! (collidable) hash in the filename; two keys that collide in the
 //! filename simply overwrite each other's spill — a lost disk entry,
@@ -57,10 +53,6 @@ use crate::fnv64;
 
 /// Magic bytes opening every spill file this store writes.
 const MAGIC: &[u8; 8] = b"SNTLSTO1";
-
-/// Magic written by the serve cache before the store was extracted;
-/// accepted on read for spill-directory continuity.
-const LEGACY_MAGIC: &[u8; 8] = b"SRVCACH1";
 
 /// Spill-file extension.
 pub(crate) const EXT: &str = "sc";
@@ -342,8 +334,8 @@ fn corrupt(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.to_string())
 }
 
-/// Parses one spill file back into `(key, body)`, validating magic
-/// (current or legacy), lengths, checksum, and UTF-8.
+/// Parses one spill file back into `(key, body)`, validating magic,
+/// lengths, checksum, and UTF-8.
 ///
 /// # Errors
 ///
@@ -354,7 +346,7 @@ pub(crate) fn read_spill(path: &Path) -> io::Result<(String, String)> {
     if bytes.len() < 24 {
         return Err(corrupt("truncated header"));
     }
-    if &bytes[0..8] != MAGIC && &bytes[0..8] != LEGACY_MAGIC {
+    if &bytes[0..8] != MAGIC {
         return Err(corrupt("bad magic"));
     }
     let key_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
@@ -476,14 +468,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_magic_spills_stay_warm() {
+    fn legacy_magic_spills_are_corrupt_misses() {
         let dir = temp_dir("legacy");
         std::fs::create_dir_all(&dir).unwrap();
         // Hand-write an entry the way the pre-extraction serve cache
-        // did: identical layout, "SRVCACH1" magic.
+        // did: identical layout and a valid checksum, but the retired
+        // "SRVCACH1" magic — only the magic check can reject it.
         let (key, body) = ("old-key", "old-body");
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(LEGACY_MAGIC);
+        bytes.extend_from_slice(b"SRVCACH1");
         bytes.extend_from_slice(&(key.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
         bytes.extend_from_slice(key.as_bytes());
@@ -497,9 +490,12 @@ mod tests {
 
         let metrics = SharedMetrics::new();
         let s = with_dir(8, metrics.clone(), &dir);
-        assert_eq!(s.lookup(key).as_deref(), Some(body));
-        assert_eq!(metrics.counter(STORE_DISK_HIT), 1);
-        assert_eq!(metrics.counter(STORE_CORRUPT), 0);
+        assert_eq!(metrics.counter(STORE_CORRUPT), 1);
+        assert!(s.lookup(key).is_none());
+        assert_eq!(metrics.counter(STORE_MISS), 1);
+        assert_eq!(metrics.counter(STORE_DISK_HIT), 0);
+        let err = read_spill(&path).unwrap_err();
+        assert_eq!(err.to_string(), "bad magic");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -667,9 +667,10 @@ fn cmd_trace(args: &Args) {
 }
 
 /// `sentinel fuzz`: run the seeded differential fuzzer — each case is a
-/// generated program executed on all three engines, every observable compared
-/// byte-for-byte. Unpinned, seeds cycle through all four models at
-/// widths 1/2/4/8; `--model`/`--width` pin one axis for reproduction.
+/// generated program executed on the interpreter and the compiled
+/// machine, every observable compared byte-for-byte. Unpinned, seeds
+/// cycle through all four models at widths 1/2/4/8; `--model`/`--width`
+/// pin one axis for reproduction.
 fn cmd_fuzz(args: &Args) {
     let parse_frac = |name: &str| -> f64 {
         match args.flag(name) {
@@ -740,7 +741,7 @@ fn usage() -> ! {
            trace     --model R|G|S|T|B<k> --issue N --format timeline|jsonl|chrome [--raw] [--recovery] [-o out] [run's machine flags]\n\
            reproduce regenerate the paper's tables/figures [fig4|fig5|summary|…|all] [--csv] [--jobs N] [--cache-dir DIR]\n\
            serve     networked compile-and-simulate service [--addr HOST] [--port N] [--workers N] [--queue N] [--cache N] [--cache-dir PATH]\n\
-           fuzz      differential fuzzer: all three engines, byte-identical observables [--seed N] [--count M] [--model R|G|S|T] [--width W] [--alias F] [--traps F] [--spec H] [--cache-dir DIR]\n\
+           fuzz      differential fuzzer: interpreter vs turbo, byte-identical observables [--seed N] [--count M] [--model R|G|S|T] [--width W] [--alias F] [--traps F] [--spec H] [--cache-dir DIR]\n\
            version   print the version (also --version)"
     );
     exit(2);

@@ -1,9 +1,9 @@
-//! Engine differential suite: the pre-decoded fast engine and the
-//! trace-chaining turbo engine must be observationally identical to the
+//! Engine differential suite: the compiled machine (`turbo`, which the
+//! `fast` label also runs) must be observationally identical to the
 //! interpretive oracle.
 //!
 //! Every suite workload is scheduled under all four models and run at
-//! issue widths {1, 2, 4, 8} on all three engines, asserting identical
+//! issue widths {1, 2, 4, 8} on both machines, asserting identical
 //! run outcome, statistics, final architectural state (every register
 //! with its exception tag, plus full memory), and — on a sampled
 //! subset — identical trace-event streams from an attached sink.
@@ -83,14 +83,12 @@ fn engines_agree_on_every_workload_model_and_width() {
                 let mut cfg = SimConfig::for_mdes(mdes.clone());
                 cfg.semantics = semantics_for(model);
                 let interp = observe(&sched.func, &cfg, &mdes, w, Engine::Interpreter);
-                for engine in [Engine::Fast, Engine::Turbo] {
-                    let other = observe(&sched.func, &cfg, &mdes, w, engine);
-                    assert_eq!(
-                        interp, other,
-                        "{} {model} w{width}: {engine} engine diverged from the interpreter",
-                        w.name
-                    );
-                }
+                let turbo = observe(&sched.func, &cfg, &mdes, w, Engine::Turbo);
+                assert_eq!(
+                    interp, turbo,
+                    "{} {model} w{width}: turbo diverged from the interpreter",
+                    w.name
+                );
             }
         }
     }
@@ -113,7 +111,7 @@ impl sentinel::trace::TraceSink for SharedSink {
     }
 }
 
-/// With a sink attached and trace collection on, all three engines must
+/// With a sink attached and trace collection on, both machines must
 /// produce identical pipeline-event streams and `TraceEvent` logs.
 #[test]
 fn engines_emit_identical_trace_streams() {
@@ -123,7 +121,7 @@ fn engines_emit_identical_trace_streams() {
         let mdes = MachineDesc::paper_issue(4);
         let sched = schedule_function(&w.func, &mdes, &SchedOptions::new(model)).unwrap();
         let mut streams = Vec::new();
-        for engine in [Engine::Interpreter, Engine::Fast, Engine::Turbo] {
+        for engine in [Engine::Interpreter, Engine::Turbo] {
             let buffer = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
             let sink = SharedSink {
                 events: buffer.clone(),
@@ -146,11 +144,6 @@ fn engines_emit_identical_trace_streams() {
         }
         assert_eq!(
             streams[0], streams[1],
-            "{}: trace streams differ (interpreter vs fast)",
-            w.name
-        );
-        assert_eq!(
-            streams[0], streams[2],
             "{}: trace streams differ (interpreter vs turbo)",
             w.name
         );

@@ -1,8 +1,8 @@
-//! Seeded differential fuzzing: ≥1,000 generated programs through all
-//! three engines (interpreter, fast, turbo), asserting byte-identical
-//! observations (outcome, stats, final registers with tags, memory,
-//! `TraceEvent` log, pipeline event stream) for each optimized engine
-//! against the interpretive oracle.
+//! Seeded differential fuzzing: ≥1,000 generated programs through both
+//! machines (the interpreter and the compiled `turbo` machine, which
+//! the `fast` label also runs), asserting byte-identical observations
+//! (outcome, stats, final registers with tags, memory, `TraceEvent`
+//! log, pipeline event stream) against the interpretive oracle.
 //!
 //! Each seed fully determines the program; failures print a one-command
 //! repro (`sentinel fuzz --seed N …`). Seeds cycle through the full

@@ -14,6 +14,10 @@
 //!    grid cell for the same job derive byte-identical canonical keys,
 //!    so a measurement cached by one layer is addressable from the
 //!    other.
+//! 3. **Golden bodies** — `/v1/simulate` response bodies for one job
+//!    under every engine label (and none) must match
+//!    `tests/golden/simulate_bodies.txt` byte for byte, so swapping the
+//!    machine behind a label cannot change what clients receive.
 
 use sentinel::bench::grid::Cell;
 use sentinel::serve::api::{ApiRequest, JobKind};
@@ -133,6 +137,29 @@ fn serve_and_bench_derive_identical_simulate_keys() {
     let mut cell = Cell::paper("grep", SchedulingModel::SentinelStores, 8);
     cell.recovery = true;
     assert_eq!(req.cache_key(), cell.spec(Engine::Interpreter).canonical());
+}
+
+#[test]
+fn golden_simulate_bodies_are_pinned() {
+    let golden = include_str!("golden/simulate_bodies.txt");
+    let workloads = sentinel::workloads::suite::shared();
+    let mut seen = 0;
+    for line in golden.lines() {
+        let (request, expected) = line
+            .split_once(' ')
+            .expect("golden line is '<request> <body>'");
+        let body = ApiRequest::from_json(JobKind::Simulate, request)
+            .unwrap()
+            .run(&workloads)
+            .unwrap();
+        assert_eq!(
+            body, expected,
+            "/v1/simulate body for {request} drifted from tests/golden/simulate_bodies.txt"
+        );
+        seen += 1;
+    }
+    // No engine, then fast, turbo, and interpreter.
+    assert_eq!(seen, 4);
 }
 
 #[test]
