@@ -14,9 +14,7 @@ use sentinel_isa::MachineDesc;
 use sentinel_prog::Function;
 use sentinel_sim::reference::{RefOutcome, Reference};
 use sentinel_sim::verify::{compare_runs, CompareSpec};
-use sentinel_sim::{
-    Engine, Memory, RunOutcome, SimConfig, SimSession, SpeculationSemantics, Stats, TurboProgram,
-};
+use sentinel_sim::{Engine, Memory, RunOutcome, SimConfig, SimSession, Stats, TurboProgram};
 use sentinel_workloads::Workload;
 
 /// One measured run of a workload under a model and machine.
@@ -133,13 +131,7 @@ pub fn apply_memory(w: &Workload, mem: &mut Memory) {
     }
 }
 
-/// The speculative-fault semantics each scheduling model runs under.
-pub fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
-    match model {
-        SchedulingModel::GeneralPercolation => SpeculationSemantics::Silent,
-        _ => SpeculationSemantics::SentinelTags,
-    }
-}
+pub use sentinel_spec::semantics_for;
 
 /// Why a workload could not be measured.
 ///

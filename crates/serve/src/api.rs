@@ -21,10 +21,8 @@ use std::sync::{Arc, OnceLock};
 use sentinel_core::{CompileSession, SchedOptions, SchedStats, SchedulingModel};
 use sentinel_isa::MachineDesc;
 use sentinel_prog::{asm, Function};
-use sentinel_sim::{
-    Engine, ProgramCache, RunOutcome, SimConfig, SimSession, SpeculationSemantics, TurboProgram,
-};
-use sentinel_spec::{JobSpec, ProgramRef, SpecKind};
+use sentinel_sim::{Engine, ProgramCache, RunOutcome, SimConfig, SimSession, TurboProgram};
+use sentinel_spec::{semantics_for, JobSpec, ProgramRef, SpecKind};
 use sentinel_trace::json::{self, ObjWriter, Value};
 use sentinel_workloads::Workload;
 
@@ -76,15 +74,6 @@ pub fn parse_model(s: &str) -> Result<SchedulingModel, String> {
 /// (delegates to the shared encoding in `sentinel-spec`).
 pub fn model_str(model: SchedulingModel) -> String {
     sentinel_spec::model_str(model)
-}
-
-/// The speculative-fault semantics each scheduling model runs under
-/// (mirrors the evaluation harness).
-fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
-    match model {
-        SchedulingModel::GeneralPercolation => SpeculationSemantics::Silent,
-        _ => SpeculationSemantics::SentinelTags,
-    }
 }
 
 /// Shared model/width/recovery knobs of both endpoints.

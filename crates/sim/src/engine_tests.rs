@@ -757,8 +757,10 @@ mod interp {
     }
 }
 
-/// Compiled machine vs interpreter spot checks (the broad net is the
-/// differential fuzzer in `tests/fuzz_differential.rs`).
+/// Compiled machine vs interpreter spot checks. The compiled machine has
+/// one loop, `run_bare`, so these cases and the broad net — the
+/// differential fuzzer in `tests/fuzz_differential.rs`, which runs it
+/// uninstrumented — test the loop measurements run on.
 mod turbo {
     use std::sync::Arc;
 

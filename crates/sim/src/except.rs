@@ -95,7 +95,7 @@ impl fmt::Display for Trap {
 /// fidelity check rather than a necessity: [`PcHistoryQueue::recover`]
 /// reports whether the PC would still have been available in a hardware
 /// queue of the configured depth.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcHistoryQueue {
     depth: usize,
     entries: VecDeque<InsnId>,

@@ -13,8 +13,9 @@
 //!   the compiled machine over an owned decode ([`TurboProgram`]) with
 //!   chained traces and fused micro-op pairs — `Turbo` is the label
 //!   whose decode callers share across sessions through a
-//!   [`ProgramCache`]. Both machines route every architectural rule
-//!   through [`sem`],
+//!   [`ProgramCache`]. Traced sessions run on the interpreter whatever
+//!   their label. Both machines route every architectural rule through
+//!   [`sem`],
 //! * [`sem`] — the single-source-of-truth semantics layer: **Table 1**
 //!   (exception detection with sentinel scheduling), **Table 2**
 //!   (store-buffer insertion with probationary entries), boosting

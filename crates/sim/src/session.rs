@@ -23,16 +23,19 @@
 //! assert_eq!(s.reg(Reg::int(1)).as_i64(), 42);
 //! ```
 //!
-//! The [`Engine`] choice selects the machine behind an otherwise
-//! identical surface: [`Engine::Interpreter`] walks the block graph
-//! instruction by instruction (the correctness oracle), while
-//! [`Engine::Fast`] (the default) and [`Engine::Turbo`] both run the
-//! compiled machine over a [`TurboProgram`] decode. The two labels stay
-//! distinct because job specs, cache keys, and response bodies carry
-//! them; they differ only in where the decode comes from (see
-//! [`Engine`]). The differential suite holds the two machines to
-//! identical outcomes, statistics, architectural state, and trace-event
-//! streams.
+//! [`SimSessionBuilder::build`] picks the machine once. The interpreter
+//! walks the block graph instruction by instruction (the correctness
+//! oracle) and is the only instrumented machine: it runs every
+//! [`Engine::Interpreter`] session and every session with a trace sink
+//! ([`SimSessionBuilder::sink`]) or [`SimConfig::collect_trace`],
+//! whatever its label. Every other [`Engine::Fast`] (the default) or
+//! [`Engine::Turbo`] session runs the compiled machine over a
+//! [`TurboProgram`] decode. The labels stay distinct because job specs,
+//! cache keys, and response bodies carry them, and
+//! [`SimSession::engine`] reports the label asked for. The differential
+//! suite and the seeded fuzzer hold the two machines to identical
+//! outcomes, statistics, architectural state, profiles, and PC
+//! histories.
 
 use std::sync::Arc;
 
@@ -119,14 +122,16 @@ impl<'a> SimSessionBuilder<'a> {
         self
     }
 
-    /// Attaches a pipeline-event sink from the start of the run.
+    /// Attaches a pipeline-event sink from the start of the run (the
+    /// session then runs on the interpreter; see [`SimSession`]).
     #[must_use]
     pub fn sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.sink = Some(sink);
         self
     }
 
-    /// Supplies a shared decode (selects [`Engine::Turbo`]). The
+    /// Supplies a shared decode (selects [`Engine::Turbo`]; an
+    /// instrumented session runs on the interpreter and ignores it). The
     /// program must have been decoded from this builder's function with
     /// the machine description the config will carry — callers reusing
     /// decodes through a [`ProgramCache`](crate::ProgramCache) key on
@@ -138,26 +143,28 @@ impl<'a> SimSessionBuilder<'a> {
         self
     }
 
-    /// Constructs the session. For [`Engine::Fast`] and
-    /// [`Engine::Turbo`] (without a shared [`TurboProgram`]) this
-    /// performs the one-time decode of the function.
+    /// Constructs the session on its machine: the interpreter for
+    /// [`Engine::Interpreter`] or an instrumented session, the compiled
+    /// machine otherwise — decoding the function once unless a shared
+    /// [`TurboProgram`] was supplied.
     pub fn build(self) -> SimSession<'a> {
-        let mut session = SimSession {
-            engine: self.engine,
-            inner: match self.engine {
-                Engine::Interpreter => Inner::Interp(Machine::create(self.func, self.config)),
-                Engine::Fast | Engine::Turbo => {
-                    let prog = self.program.unwrap_or_else(|| {
-                        Arc::new(TurboProgram::new(self.func, &self.config.mdes))
-                    });
-                    Inner::Turbo(TurboMachine::new(prog, self.config))
-                }
-            },
+        let instrumented = self.sink.is_some() || self.config.collect_trace;
+        let inner = if self.engine == Engine::Interpreter || instrumented {
+            let mut m = Machine::create(self.func, self.config);
+            if let Some(sink) = self.sink {
+                m.attach_sink(sink);
+            }
+            Inner::Interp(m)
+        } else {
+            let prog = self
+                .program
+                .unwrap_or_else(|| Arc::new(TurboProgram::new(self.func, &self.config.mdes)));
+            Inner::Turbo(TurboMachine::new(prog, self.config))
         };
-        if let Some(sink) = self.sink {
-            session.attach_sink(sink);
+        SimSession {
+            engine: self.engine,
+            inner,
         }
-        session
     }
 }
 
@@ -203,7 +210,9 @@ impl<'a> SimSession<'a> {
         }
     }
 
-    /// The engine this session runs on.
+    /// The engine label this session was built with (an instrumented
+    /// `fast` or `turbo` session reports its label while running on the
+    /// interpreter).
     pub fn engine(&self) -> Engine {
         self.engine
     }
@@ -279,7 +288,10 @@ impl<'a> SimSession<'a> {
 
     /// The execution trace (empty unless [`SimConfig::collect_trace`]).
     pub fn trace(&self) -> &[TraceEvent] {
-        delegate!(self, trace)
+        match &self.inner {
+            Inner::Interp(m) => m.trace(),
+            Inner::Turbo(_) => &[],
+        }
     }
 
     /// The data cache, if one is configured.
@@ -287,17 +299,14 @@ impl<'a> SimSession<'a> {
         delegate!(self, cache)
     }
 
-    /// Attaches a pipeline-event sink and enables the journals feeding
-    /// it. Call before [`SimSession::run`] (or use
-    /// [`SimSessionBuilder::sink`]).
-    pub fn attach_sink(&mut self, sink: Box<dyn TraceSink>) {
-        delegate!(mut self, attach_sink, sink)
-    }
-
-    /// Detaches the sink (if any), disabling the journals. Call
-    /// [`TraceSink::finish`] on the result to render the trace.
+    /// Detaches the sink given to [`SimSessionBuilder::sink`] (`None`
+    /// if there was none). Call [`TraceSink::finish`] on the result to
+    /// render the trace.
     pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        delegate!(mut self, take_sink)
+        match &mut self.inner {
+            Inner::Interp(m) => m.take_sink(),
+            Inner::Turbo(_) => None,
+        }
     }
 }
 
@@ -377,5 +386,26 @@ mod tests {
         assert!(!s.trace().is_empty());
         let mut sink = s.take_sink().expect("sink attached via builder");
         assert_ne!(sink.finish(), "0 events");
+    }
+
+    #[test]
+    fn instrumented_sessions_run_on_the_interpreter() {
+        let f = demo();
+        let traced = SimConfig {
+            collect_trace: true,
+            ..Default::default()
+        };
+        for engine in [Engine::Fast, Engine::Turbo] {
+            let build = || SimSession::for_function(&f).engine(engine);
+            let by_config = build().config(traced.clone()).build();
+            let by_sink = build().sink(Box::new(sentinel_trace::NullSink)).build();
+            for s in [&by_config, &by_sink] {
+                assert!(matches!(s.inner, Inner::Interp(_)));
+                assert_eq!(s.engine(), engine, "the label survives the routing");
+            }
+            let mut bare = build().build();
+            assert!(matches!(bare.inner, Inner::Turbo(_)));
+            assert!(bare.take_sink().is_none() && bare.trace().is_empty());
+        }
     }
 }

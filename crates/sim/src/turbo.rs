@@ -38,30 +38,30 @@
 //! threads, and requests: decode once per (function, machine) pair per
 //! process, not once per run.
 //!
-//! When a trace sink is attached or trace collection is on, the engine
-//! runs an instrumented per-instruction loop that emits the
-//! interpreter's events at the interpreter's journal drain points; the
-//! differential suite and the seeded fuzzer hold the two machines to
-//! identical outcomes, statistics, architectural state, and
-//! trace-event streams.
+//! The engine carries no instrumentation: `run_bare` is its only loop.
+//! A session with a trace sink or [`SimConfig::collect_trace`] runs on
+//! the interpreter instead (see [`SimSession`](crate::SimSession)). The
+//! differential suite and the seeded fuzzer hold this loop to the
+//! interpreter's outcome, statistics, architectural state, profile,
+//! and PC history.
 
 use std::sync::Arc;
 
 use sentinel_isa::{BlockId, Insn, InsnId, MachineDesc, OpClass, Opcode, Reg, RegClass};
 use sentinel_prog::profile::Profile;
 use sentinel_prog::Function;
-use sentinel_trace::{Event, EventKind, StallReason, TraceSink};
+use sentinel_trace::StallReason;
 
 use crate::except::{ExceptionKind, PcHistoryQueue, Trap};
 use crate::exec::branch_taken;
 use crate::hash::FastMap;
 use crate::memory::Memory;
-use crate::regfile::{RegEvent, RegFile, TaggedValue};
+use crate::regfile::{RegFile, TaggedValue};
 use crate::sem::boost::ShadowState;
-use crate::sem::storebuf::{SbEvent, StoreBuffer};
+use crate::sem::storebuf::StoreBuffer;
 use crate::sem::{self, ArchState};
 use crate::stats::Stats;
-use crate::{Recovery, RunOutcome, SimConfig, SimError, TraceEvent};
+use crate::{Recovery, RunOutcome, SimConfig, SimError};
 
 /// Sentinel index meaning "no register / no resolution".
 const NONE: u32 = u32::MAX;
@@ -400,10 +400,8 @@ impl TurboProgram {
     }
 }
 
+/// How a `run_bare` call ended (errors travel in the `Result`).
 enum Step {
-    Continue,
-    /// Taken control transfer to a resolution index.
-    Goto(u32),
     Halt,
     Trap(Trap),
 }
@@ -411,8 +409,10 @@ enum Step {
 /// The turbo engine: execute an owned [`TurboProgram`].
 ///
 /// Construct through [`SimSession`](crate::SimSession) with
-/// [`Engine::Turbo`](crate::Engine::Turbo). The public surface mirrors
-/// [`Machine`](crate::Machine) so sessions can delegate uniformly.
+/// [`Engine::Fast`](crate::Engine::Fast) or
+/// [`Engine::Turbo`](crate::Engine::Turbo) and no instrumentation. The
+/// public surface mirrors [`Machine`](crate::Machine)'s uninstrumented
+/// one so sessions can delegate uniformly.
 pub(crate) struct TurboMachine {
     prog: Arc<TurboProgram>,
     config: SimConfig,
@@ -426,14 +426,8 @@ pub(crate) struct TurboMachine {
     profile: Profile,
     /// Shadow register file + shadow store buffers (boosting, §2.3).
     shadow: ShadowState,
-    /// Per-instruction execution trace (when `collect_trace` is set).
-    trace: Vec<TraceEvent>,
     /// Optional timing-only data cache.
     cache: Option<crate::cache::DataCache>,
-    sink: Option<Box<dyn TraceSink>>,
-    sink_active: bool,
-    last_issue: u64,
-    last_insn: InsnId,
     // --- timing state ---
     cycle: u64,
     slots_used: usize,
@@ -488,12 +482,7 @@ impl TurboMachine {
             stats: Stats::default(),
             profile: Profile::new(),
             shadow: ShadowState::default(),
-            trace: Vec::new(),
             cache: config.cache.clone().map(crate::cache::DataCache::new),
-            sink: None,
-            sink_active: false,
-            last_issue: 0,
-            last_insn: InsnId(0),
             cycle: 0,
             slots_used: 0,
             branches_used: 0,
@@ -514,47 +503,9 @@ impl TurboMachine {
         }
     }
 
-    /// The shared-semantics view over this engine's architectural state.
-    fn arch(&mut self) -> ArchState<'_> {
-        ArchState {
-            regs: &mut self.regs,
-            mem: &mut self.mem,
-            sb: &mut self.sb,
-            shadow: &mut self.shadow,
-            kinds: &mut self.kinds,
-            stats: &mut self.stats,
-            cache: &mut self.cache,
-            semantics: self.config.semantics,
-        }
-    }
-
-    /// Attaches a pipeline-event sink and enables the register-file and
-    /// store-buffer journals feeding it. Call before [`TurboMachine::run`].
-    pub fn attach_sink(&mut self, sink: Box<dyn TraceSink>) {
-        let active = sink.wants_events();
-        self.regs.set_journal(active);
-        self.sb.set_journal(active);
-        self.sink_active = active;
-        self.sink = Some(sink);
-    }
-
-    /// Detaches the sink (if any), disabling the journals.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.drain_journals();
-        self.regs.set_journal(false);
-        self.sb.set_journal(false);
-        self.sink_active = false;
-        self.sink.take()
-    }
-
     /// The data cache, if one is configured.
     pub fn cache(&self) -> Option<&crate::cache::DataCache> {
         self.cache.as_ref()
-    }
-
-    /// The execution trace (empty unless [`SimConfig::collect_trace`]).
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
     }
 
     /// Sets an integer or fp register to raw bits (untagged).
@@ -620,21 +571,6 @@ impl TurboMachine {
         match prog.resolutions[res as usize].end {
             ResEnd::At(idx) => Ok(idx),
             ResEnd::FellOff(b) => Err(SimError::FellOffEnd(b)),
-        }
-    }
-
-    /// Records an issued PC into the dense ring (the turbo stand-in for
-    /// [`PcHistoryQueue::record`]; materialized at flush time).
-    #[inline]
-    fn record_pc(&mut self, id: InsnId) {
-        if self.pc_ring.len() < self.pc_depth {
-            self.pc_ring.push(id);
-        } else {
-            self.pc_ring[self.pc_head] = id;
-            self.pc_head += 1;
-            if self.pc_head == self.pc_depth {
-                self.pc_head = 0;
-            }
         }
     }
 
@@ -710,113 +646,52 @@ impl TurboMachine {
         let prog = Arc::clone(&self.prog);
         let mut pc = self.enter(&prog, prog.entry)?;
         loop {
-            // The instrumented loop emits the interpreter's events at
-            // its journal drain points; the bare loop is the optimized
-            // path the instrumentation-free common case runs on.
-            let step = if self.sink_active || self.config.collect_trace {
-                if self.stats.dyn_insns >= self.config.fuel {
-                    return Err(SimError::OutOfFuel);
-                }
-                let step = self.exec_insn(&prog, pc)?;
-                self.drain_journals();
-                match step {
-                    Step::Continue => {
-                        let fall = prog.meta[pc as usize].fall;
-                        pc = if fall == NONE {
-                            pc + 1
-                        } else {
-                            self.enter(&prog, fall)?
-                        };
-                        continue;
-                    }
-                    Step::Goto(res) => {
-                        if let Some(last) = self.trace.last_mut() {
-                            last.taken = true;
-                        }
-                        pc = self.enter(&prog, res)?;
-                        continue;
-                    }
-                    other => other,
-                }
-            } else {
-                self.run_bare(&prog, &mut pc)?
-            };
-            match step {
-                Step::Continue | Step::Goto(_) => unreachable!("handled above"),
+            match self.run_bare(&prog, &mut pc)? {
                 Step::Halt => {
                     let flushed = sem::mem::flush_at_halt(&mut self.sb, &mut self.mem);
-                    self.drain_journals();
                     self.sync_sb_stats();
                     flushed?;
                     self.finalize_cycles();
                     return Ok(RunOutcome::Halted);
                 }
-                Step::Trap(trap) => {
-                    if self.sink_active {
-                        let kind = trap
-                            .kind
-                            .map(|k| k.to_string())
-                            .unwrap_or_else(|| "exception".to_string());
-                        self.emit(Event::at(
-                            self.cycle,
-                            EventKind::Trap {
-                                pc: trap.excepting_pc,
-                                kind,
-                            },
-                        ));
-                    }
-                    match handler(&trap, &mut self.mem) {
-                        Recovery::Resume => {
-                            if self.stats.recoveries >= self.config.max_recoveries {
-                                return Err(SimError::RecoveryLoop);
-                            }
-                            self.stats.recoveries += 1;
-                            let Some(&rpc) = prog.flat_of.get(&trap.excepting_pc) else {
-                                return Err(SimError::UnknownRecoveryPc(trap.excepting_pc));
-                            };
-                            self.sb.cancel_probationary(self.cycle);
-                            self.drain_journals();
-                            if self.sink_active {
-                                self.emit(Event::at(
-                                    self.cycle,
-                                    EventKind::Recovery {
-                                        pc: trap.excepting_pc,
-                                        penalty: self.config.recovery_penalty,
-                                    },
-                                ));
-                            }
-                            self.advance_cycle(
-                                self.cycle + 1 + self.config.recovery_penalty,
-                                StallReason::Recovery,
-                            );
-                            pc = rpc;
+                Step::Trap(trap) => match handler(&trap, &mut self.mem) {
+                    Recovery::Resume => {
+                        if self.stats.recoveries >= self.config.max_recoveries {
+                            return Err(SimError::RecoveryLoop);
                         }
-                        Recovery::Abort => {
-                            self.sb.flush(&mut self.mem);
-                            self.drain_journals();
-                            self.sync_sb_stats();
-                            self.finalize_cycles();
-                            return Ok(RunOutcome::Trapped(trap));
-                        }
+                        self.stats.recoveries += 1;
+                        let Some(&rpc) = prog.flat_of.get(&trap.excepting_pc) else {
+                            return Err(SimError::UnknownRecoveryPc(trap.excepting_pc));
+                        };
+                        self.sb.cancel_probationary(self.cycle);
+                        self.advance_cycle(
+                            self.cycle + 1 + self.config.recovery_penalty,
+                            StallReason::Recovery,
+                        );
+                        pc = rpc;
                     }
-                }
+                    Recovery::Abort => {
+                        self.sb.flush(&mut self.mem);
+                        self.sync_sb_stats();
+                        self.finalize_cycles();
+                        return Ok(RunOutcome::Trapped(trap));
+                    }
+                },
             }
         }
     }
 
-    /// The uninstrumented hot loop: runs until a halt or trap, advancing
-    /// `pc` through fallthroughs, chained transfers, and fused micro-ops
-    /// internally. Only ever returns [`Step::Halt`] or [`Step::Trap`].
+    /// The hot loop: runs until a halt or trap, advancing `pc` through
+    /// fallthroughs, chained transfers, and fused micro-ops internally.
     ///
     /// `self` splits into disjoint field borrows up front: the semantic
     /// fields feed ONE long-lived [`ArchState`] for the whole run
     /// (instead of rebuilding the bundle per instruction), and the
     /// timing front end — readiness, issue arbitration, stall
-    /// attribution, PC history — is the same code as the engine methods
-    /// the instrumented loop uses, expanded field-level by local macros
-    /// over locals the compiler can keep in registers. Counters mirror
-    /// into locals and flush back at the single exit; `sem` never reads
-    /// them mid-run.
+    /// attribution, PC history — is the interpreter's timing model,
+    /// written as local macros over locals the compiler can keep in
+    /// registers. Counters mirror into locals and flush back at the
+    /// single exit; `sem` never reads them mid-run.
     fn run_bare(&mut self, prog: &TurboProgram, pc: &mut u32) -> Result<Step, SimError> {
         let fuel = self.config.fuel;
         let issue_width = self.issue_width;
@@ -860,8 +735,7 @@ impl TurboMachine {
         let mut slots = *slots_f;
         let mut branches = *branches_f;
 
-        /// `advance_cycle` over the locals (the bare loop never runs
-        /// with an active sink, so no stall events are emitted).
+        /// [`TurboMachine::advance_cycle`] over the locals.
         macro_rules! advance {
             ($to:expr, $reason:expr) => {{
                 let to = $to;
@@ -876,9 +750,9 @@ impl TurboMachine {
                 }
             }};
         }
-        /// `issue_at` + `issue_slow` over the locals; `$is_branch` is a
-        /// literal so the branch-limit checks const-fold away on the
-        /// non-branch paths.
+        /// Issue-slot arbitration with stall attribution; `$is_branch`
+        /// is a literal so the branch-limit checks const-fold away on
+        /// the non-branch paths.
         macro_rules! issue {
             ($min:expr, $is_branch:expr, $wait:expr) => {{
                 let min_cycle = $min;
@@ -915,8 +789,8 @@ impl TurboMachine {
                 }
             }};
         }
-        /// Combined ready pre-test with the exact lazily-clearing
-        /// per-slot fallback (`src_ready` inlined).
+        /// Combined ready pre-test with the exact, lazily clearing
+        /// per-slot fallback.
         macro_rules! ready_of {
             ($m:expr) => {{
                 if ready_mask[$m.rm_w1 as usize] & $m.rm_b1 == 0
@@ -944,7 +818,7 @@ impl TurboMachine {
                 }
             }};
         }
-        /// `record_pc` inlined.
+        /// Records an issued PC into the dense ring.
         macro_rules! record_pc {
             ($id:expr) => {{
                 if pc_ring.len() < pc_depth {
@@ -958,7 +832,7 @@ impl TurboMachine {
                 }
             }};
         }
-        /// `mark_ready` inlined.
+        /// Marks a scoreboard slot ready (no-op for [`NONE`]).
         macro_rules! mark_ready {
             ($slot:expr, $at:expr) => {{
                 let s = $slot;
@@ -968,8 +842,8 @@ impl TurboMachine {
                 }
             }};
         }
-        /// `enter` inlined: evaluates to the destination flat index, or
-        /// breaks the run on a fell-off-end resolution.
+        /// [`TurboMachine::enter`]: evaluates to the destination flat
+        /// index, or breaks the run on a fell-off-end resolution.
         macro_rules! enter {
             ($l:lifetime, $res:expr) => {{
                 let r = $res as usize;
@@ -980,7 +854,7 @@ impl TurboMachine {
                 }
             }};
         }
-        /// The per-instruction front end (`prologue` inlined).
+        /// The per-instruction front end; evaluates to the issue cycle.
         macro_rules! prologue {
             ($m:expr, $insn:expr, $is_branch:expr) => {{
                 let ready_at = ready_of!($m);
@@ -1001,7 +875,7 @@ impl TurboMachine {
                 }
             }};
         }
-        /// `apply_load` inlined over a [`sem::mem::LoadStep`].
+        /// Applies a [`sem::mem::LoadStep`] to the scoreboard.
         macro_rules! apply_load {
             ($l:lifetime, $m:expr, $step:expr) => {{
                 match $step {
@@ -1143,8 +1017,8 @@ impl TurboMachine {
                         enter!('run, m.fall)
                     };
                 }
-                // General single-instruction dispatch (the bare twin of
-                // `exec_insn`: timing here, semantics in `crate::sem`).
+                // General single-instruction dispatch (timing here,
+                // semantics in `crate::sem`).
                 Fuse::None => {
                     let (m, insn) = (&prog.meta[i], &prog.insns[i]);
                     let issue = prologue!(m, insn, m.is_branch);
@@ -1249,28 +1123,6 @@ impl TurboMachine {
         res
     }
 
-    /// The shared per-instruction front end: source-readiness lookup,
-    /// dynamic-instruction accounting, PC history, and issue-slot
-    /// arbitration. Returns the issue cycle.
-    #[inline]
-    fn prologue(&mut self, m: &Meta, insn: &Insn) -> u64 {
-        // Combined pre-test: clear bits prove both sources ready without
-        // per-slot shift math; any set (possibly stale) bit falls back
-        // to the exact lazily-clearing reads.
-        let ready = if self.ready_mask[m.rm_w1 as usize] & m.rm_b1 == 0
-            && self.ready_mask[m.rm_w2 as usize] & m.rm_b2 == 0
-        {
-            0
-        } else {
-            self.src_ready(m.src1).max(self.src_ready(m.src2))
-        };
-        self.stats.dyn_insns += 1;
-        self.stats.dyn_speculative += m.spec_inc;
-        self.stats.dyn_boosted += m.boost_inc;
-        self.record_pc(insn.id);
-        self.issue_at(ready, m.is_branch, m.wait)
-    }
-
     fn finalize_cycles(&mut self) {
         self.stats.cycles = self.cycle + 1;
         debug_assert_eq!(
@@ -1288,339 +1140,18 @@ impl TurboMachine {
         self.stats.sb_stall_cycles = stall;
     }
 
-    fn emit(&mut self, event: Event) {
-        if let Some(s) = &mut self.sink {
-            s.record(&event);
-        }
-    }
-
-    fn drain_journals(&mut self) {
-        if !self.sink_active {
-            return;
-        }
-        let at = self.last_issue;
-        let insn = self.last_insn;
-        for ev in self.regs.take_journal() {
-            match ev {
-                RegEvent::TagWrite { reg, pc } if pc == insn => {
-                    self.emit(Event::at(at, EventKind::TagSet { reg, pc }));
-                }
-                RegEvent::TagWrite { reg, pc } => {
-                    self.emit(Event::at(at, EventKind::TagPropagate { dest: reg, pc }));
-                }
-                RegEvent::TagClear { .. } => {}
-            }
-        }
-        for ev in self.sb.take_journal() {
-            let event = match ev {
-                SbEvent::Insert {
-                    cycle,
-                    addr,
-                    probationary,
-                    occupancy,
-                } => Event::at(
-                    cycle,
-                    EventKind::SbInsert {
-                        addr,
-                        probationary,
-                        occupancy,
-                    },
-                ),
-                SbEvent::Release {
-                    cycle,
-                    addr,
-                    occupancy,
-                } => Event::at(cycle, EventKind::SbRelease { addr, occupancy }),
-                SbEvent::Cancel {
-                    cycle,
-                    cancelled,
-                    occupancy,
-                } => Event::at(
-                    cycle,
-                    EventKind::SbCancel {
-                        cancelled,
-                        occupancy,
-                    },
-                ),
-                SbEvent::Forward { addr } => Event::at(at, EventKind::SbForward { addr }),
-                SbEvent::Confirm {
-                    cycle,
-                    index,
-                    excepted,
-                } => Event::at(cycle, EventKind::SbConfirm { index, excepted }),
-            };
-            self.emit(event);
-        }
-    }
-
+    /// Moves the pipeline to cycle `to`, charging the non-issuing cycles
+    /// to `reason` (the recovery penalty between `run_bare` calls).
     fn advance_cycle(&mut self, to: u64, reason: StallReason) {
         if to > self.cycle {
             let stalled = (to - self.cycle - 1) + u64::from(self.slots_used == 0);
             if stalled > 0 {
                 self.stats.stalls.add(reason, stalled);
-                if self.sink_active {
-                    let start = if self.slots_used == 0 {
-                        self.cycle
-                    } else {
-                        self.cycle + 1
-                    };
-                    self.emit(Event::at(
-                        start,
-                        EventKind::Stall {
-                            reason,
-                            cycles: stalled,
-                        },
-                    ));
-                }
             }
             self.cycle = to;
             self.slots_used = 0;
             self.branches_used = 0;
         }
-    }
-
-    /// Issue-slot arbitration with a straight-line fast path: when the
-    /// sources are ready and a slot (and branch slot, if needed) is
-    /// free this cycle, issue immediately; otherwise fall into the
-    /// stall-attributing slow path shared with the interpreter.
-    #[inline]
-    fn issue_at(&mut self, min_cycle: u64, is_branch: bool, wait: StallReason) -> u64 {
-        if min_cycle <= self.cycle
-            && self.slots_used < self.issue_width
-            && (!is_branch || self.branches_used < self.branches_per_cycle)
-        {
-            self.slots_used += 1;
-            if self.slots_used == 1 {
-                self.stats.issuing_cycles += 1;
-            }
-            if is_branch {
-                self.branches_used += 1;
-            }
-            return self.cycle;
-        }
-        self.issue_slow(min_cycle, is_branch, wait)
-    }
-
-    fn issue_slow(&mut self, min_cycle: u64, is_branch: bool, wait: StallReason) -> u64 {
-        self.advance_cycle(min_cycle, wait);
-        loop {
-            let width_ok = self.slots_used < self.issue_width;
-            let branch_ok = !is_branch || self.branches_used < self.branches_per_cycle;
-            if width_ok && branch_ok {
-                self.slots_used += 1;
-                if self.slots_used == 1 {
-                    self.stats.issuing_cycles += 1;
-                }
-                if is_branch {
-                    self.branches_used += 1;
-                }
-                return self.cycle;
-            }
-            let structural = if width_ok {
-                StallReason::BranchLimit
-            } else {
-                StallReason::FuConflict
-            };
-            self.advance_cycle(self.cycle + 1, structural);
-        }
-    }
-
-    /// Ready-mask scoreboard read: a clear bit proves the slot imposes
-    /// no wait without loading its ready time; a stale set bit (time
-    /// already reached) is cleared so the next read takes the one-load
-    /// path. Equivalent to the dense read because `issue_at` treats any
-    /// `min_cycle <= cycle` identically.
-    #[inline]
-    fn src_ready(&mut self, slot: u32) -> u64 {
-        if slot == NONE {
-            return 0;
-        }
-        let (w, b) = (slot as usize >> 6, 1u64 << (slot & 63));
-        if self.ready_mask[w] & b == 0 {
-            return 0;
-        }
-        let t = self.ready[slot as usize];
-        if t <= self.cycle {
-            self.ready_mask[w] &= !b;
-            return 0;
-        }
-        t
-    }
-
-    /// Marks a decoded scoreboard slot ready at `at` (no-op for [`NONE`],
-    /// which already encodes the `def()` filter).
-    #[inline]
-    fn mark_ready(&mut self, slot: u32, at: u64) {
-        if slot != NONE {
-            self.ready[slot as usize] = at;
-            self.ready_mask[slot as usize >> 6] |= 1u64 << (slot & 63);
-        }
-    }
-
-    /// Applies a [`sem::mem::LoadStep`] to the scoreboard: a real datum
-    /// marks the raw destination slot, a tag-only write marks the
-    /// def-visible slot. Returns the trap, if any.
-    #[inline]
-    fn apply_load(
-        &mut self,
-        dest_slot: u32,
-        raw_dest_slot: u32,
-        step: sem::mem::LoadStep,
-    ) -> Option<Trap> {
-        match step {
-            sem::mem::LoadStep::Done { ready_at, raw } => {
-                self.mark_ready(if raw { raw_dest_slot } else { dest_slot }, ready_at);
-                None
-            }
-            sem::mem::LoadStep::Trap(trap) => Some(trap),
-        }
-    }
-
-    /// Applies a [`sem::mem::StoreStep`]: a full-buffer stall blocks the
-    /// in-order pipeline until the insertion cycle.
-    #[inline]
-    fn apply_store(&mut self, step: sem::mem::StoreStep) -> Option<Trap> {
-        match step {
-            sem::mem::StoreStep::Done { stall_to } => {
-                if let Some(eff) = stall_to {
-                    self.advance_cycle(eff.max(self.cycle), StallReason::StoreBufferFull);
-                }
-                None
-            }
-            sem::mem::StoreStep::Trap(trap) => Some(trap),
-        }
-    }
-
-    /// Executes the instruction at flat index `pc` for the instrumented
-    /// loop: timing and event construction here, architectural
-    /// semantics in [`crate::sem`] (Tables 1 and 2) over the decoded
-    /// form. The bare loop is `run_bare`'s inlined twin of this method.
-    fn exec_insn(&mut self, prog: &TurboProgram, pc: u32) -> Result<Step, SimError> {
-        let m = &prog.meta[pc as usize];
-        let insn = &prog.insns[pc as usize];
-        let (lat, dest_slot, raw_dest_slot, target_res) = (m.lat, m.dest, m.raw_dest, m.target);
-        let kind = m.kind;
-        let issue = self.prologue(m, insn);
-        if self.sink_active {
-            self.last_issue = issue;
-            self.last_insn = insn.id;
-            let done = issue + lat;
-            let slot = (self.slots_used - 1).min(u8::MAX as usize) as u8;
-            self.emit(Event {
-                cycle: issue,
-                slot,
-                kind: EventKind::Issue {
-                    pc: insn.id,
-                    text: insn.to_string(),
-                    done,
-                },
-            });
-        }
-        if self.config.collect_trace {
-            self.trace.push(TraceEvent {
-                cycle: issue,
-                id: insn.id,
-                text: insn.to_string(),
-                taken: false,
-            });
-        }
-
-        match kind {
-            Kind::Halt => {
-                if !self.shadow.is_empty() {
-                    return Err(SimError::ShadowAtHalt(self.shadow.len()));
-                }
-                Ok(Step::Halt)
-            }
-            Kind::Jump => {
-                self.br_exec[pc as usize] += 1;
-                self.br_taken[pc as usize] += 1;
-                self.redirect(issue);
-                debug_assert_ne!(target_res, NONE, "jump target");
-                Ok(Step::Goto(target_res))
-            }
-            Kind::ClearTag => {
-                sem::tag::exec_clear_tag(&mut self.arch(), insn);
-                self.mark_ready(dest_slot, issue + lat);
-                Ok(Step::Continue)
-            }
-            Kind::Confirm => match sem::mem::exec_confirm(&mut self.arch(), insn, issue)? {
-                None => Ok(Step::Continue),
-                Some(trap) => Ok(Step::Trap(trap)),
-            },
-            Kind::Nop => Ok(Step::Continue),
-            Kind::Branch => {
-                self.stats.branches += 1;
-                let (va, vb) = match sem::tag::branch_sources(&self.arch(), insn) {
-                    Ok(v) => v,
-                    Err(trap) => return Ok(Step::Trap(trap)),
-                };
-                let taken = branch_taken(insn.op, va, vb);
-                self.br_exec[pc as usize] += 1;
-                if taken {
-                    self.br_taken[pc as usize] += 1;
-                    self.stats.branches_taken += 1;
-                    sem::on_taken_branch(&mut self.arch(), issue);
-                    self.redirect(issue);
-                    debug_assert_ne!(target_res, NONE, "branch target");
-                    return Ok(Step::Goto(target_res));
-                }
-                let (trap, stall_to) = sem::boost::commit(&mut self.arch(), insn.id, issue)?;
-                if let Some(eff) = stall_to {
-                    self.advance_cycle(eff.max(self.cycle), StallReason::StoreBufferFull);
-                }
-                match trap {
-                    Some(t) => Ok(Step::Trap(t)),
-                    None => Ok(Step::Continue),
-                }
-            }
-            Kind::Load => {
-                let step = sem::mem::exec_load(&mut self.arch(), insn, issue, lat)?;
-                Ok(match self.apply_load(dest_slot, raw_dest_slot, step) {
-                    Some(trap) => Step::Trap(trap),
-                    None => Step::Continue,
-                })
-            }
-            Kind::Store => {
-                let step = sem::mem::exec_store(&mut self.arch(), insn, issue)?;
-                Ok(match self.apply_store(step) {
-                    Some(trap) => Step::Trap(trap),
-                    None => Step::Continue,
-                })
-            }
-            Kind::LdTag => {
-                let step = sem::mem::exec_ld_tag(&mut self.arch(), insn, issue, lat);
-                Ok(match self.apply_load(dest_slot, raw_dest_slot, step) {
-                    Some(trap) => Step::Trap(trap),
-                    None => Step::Continue,
-                })
-            }
-            Kind::StTag => Ok(match sem::mem::exec_st_tag(&mut self.arch(), insn) {
-                Some(trap) => Step::Trap(trap),
-                None => Step::Continue,
-            }),
-            Kind::Check | Kind::Compute => {
-                if kind == Kind::Check {
-                    self.stats.dyn_checks += 1;
-                    if self.sink_active {
-                        let excepted = self.arch().first_tagged(insn).is_some();
-                        let reg = insn.src1.unwrap_or(Reg::ZERO);
-                        self.emit(Event::at(issue, EventKind::TagCheck { reg, excepted }));
-                    }
-                }
-                match sem::tag::exec_compute(&mut self.arch(), insn)? {
-                    Some(trap) => Ok(Step::Trap(trap)),
-                    None => {
-                        self.mark_ready(dest_slot, issue + lat);
-                        Ok(Step::Continue)
-                    }
-                }
-            }
-        }
-    }
-
-    fn redirect(&mut self, branch_issue: u64) {
-        self.advance_cycle(branch_issue + 1, StallReason::BranchRedirect);
     }
 }
 

@@ -22,7 +22,7 @@ use std::fmt::{self, Write as _};
 use sentinel_core::SchedulingModel;
 use sentinel_isa::MachineDesc;
 use sentinel_sim::cache::CacheConfig;
-use sentinel_sim::Engine;
+use sentinel_sim::{Engine, SpeculationSemantics};
 
 use crate::fnv64;
 
@@ -180,6 +180,17 @@ pub fn model_str(model: SchedulingModel) -> String {
     match model {
         SchedulingModel::Boosting(k) => format!("B{k}"),
         other => other.tag().to_string(),
+    }
+}
+
+/// The speculation semantics a model is simulated under: general
+/// percolation (G) loses exceptions by design and runs
+/// [`Silent`](SpeculationSemantics::Silent); every other model defers
+/// them through [`SentinelTags`](SpeculationSemantics::SentinelTags).
+pub fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
+    match model {
+        SchedulingModel::GeneralPercolation => SpeculationSemantics::Silent,
+        _ => SpeculationSemantics::SentinelTags,
     }
 }
 
@@ -440,9 +451,14 @@ impl JobSpec {
         let kind = SpecKind::parse(&next("kind")?)?;
         let program = ProgramRef::parse(&next("prog")?, source)?;
         let model = parse_model(&next("model")?)?;
-        let width = next("width")?
+        // Every constructor sizes a paper machine from the width, which
+        // must be positive.
+        let raw = next("width")?;
+        let width = raw
             .parse::<usize>()
-            .map_err(|_| SpecError::new("bad width"))?;
+            .ok()
+            .filter(|&w| w > 0)
+            .ok_or_else(|| SpecError::new(format!("bad width '{raw}' (want an integer >= 1)")))?;
         let parse_bool = |v: String, key: &str| -> Result<bool, SpecError> {
             match v.as_str() {
                 "0" => Ok(false),
@@ -577,6 +593,15 @@ mod tests {
         assert_eq!(parsed, spec);
         // And a tampered text is rejected.
         assert!(JobSpec::parse_with_source(&line, Some("nop\n")).is_err());
+    }
+
+    #[test]
+    fn zero_width_is_an_error_not_a_panic() {
+        let line = JobSpec::fuzz(42, SchedulingModel::SentinelStores, 2, 0.25, 0.1)
+            .canonical()
+            .replace("width=2", "width=0");
+        let err = JobSpec::parse(&line).unwrap_err();
+        assert!(err.to_string().contains("width '0'"), "{err}");
     }
 
     #[test]

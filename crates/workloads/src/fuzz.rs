@@ -10,6 +10,12 @@
 use crate::rng::Rng;
 use crate::spec::{BenchClass, WorkloadSpec};
 
+/// The largest `trap_frac` every seed accepts. [`fuzz_spec`] draws the
+/// load, store, mul and div fractions below 0.40, 0.20, 0.08 and 0.05,
+/// so they sum to under 0.73 and a trap fraction up to 0.27 never
+/// oversubscribes the instruction mix.
+pub const MAX_TRAP_FRAC: f64 = 0.27;
+
 /// Derives a randomized [`WorkloadSpec`] from `seed`.
 ///
 /// Structural parameters (loop count, region shape, trip count, opcode
@@ -20,8 +26,8 @@ use crate::spec::{BenchClass, WorkloadSpec};
 /// # Panics
 ///
 /// Panics if `alias_frac` or `trap_frac` lies outside `[0, 1]` or the
-/// resulting instruction mix oversubscribes (trap_frac above ~0.5 can,
-/// since up to half the mix budget is already spent on loads/stores).
+/// resulting instruction mix oversubscribes, which a `trap_frac` of at
+/// most [`MAX_TRAP_FRAC`] rules out for every seed.
 pub fn fuzz_spec(seed: u64, alias_frac: f64, trap_frac: f64) -> WorkloadSpec {
     // Decorrelate from the generator's own streams, which hash the spec
     // seed directly.
@@ -72,6 +78,15 @@ mod tests {
                 sentinel_prog::validate(&w.func).is_empty(),
                 "seed {seed} generated an invalid program"
             );
+        }
+    }
+
+    #[test]
+    fn max_trap_frac_validates_for_every_seed() {
+        // `fuzz_spec` validates the mix it draws and panics if it
+        // oversubscribes; the bound must hold for all of them.
+        for seed in 0..10_000 {
+            fuzz_spec(seed, 1.0, MAX_TRAP_FRAC);
         }
     }
 

@@ -29,7 +29,7 @@ pub mod rng;
 pub mod spec;
 pub mod suite;
 
-pub use fuzz::fuzz_spec;
+pub use fuzz::{fuzz_spec, MAX_TRAP_FRAC};
 pub use gen::{generate, Workload};
 pub use rng::Rng;
 pub use spec::{BenchClass, WorkloadSpec};

@@ -28,8 +28,8 @@ fn main() {
 
     let mut m = SimSession::for_function(&sched.func)
         .config(SimConfig::for_mdes(mdes))
+        .sink(Box::new(TimelineSink::new(width)))
         .build();
-    m.attach_sink(Box::new(TimelineSink::new(width)));
     m.set_reg(Reg::int(3), 0x1000); // B's pointer (mapped)
     m.set_reg(Reg::int(6), 0x3000); // D's pointer: initially unmapped
     m.set_reg(Reg::int(4), 0x1100); // F's store target
@@ -73,8 +73,8 @@ fn main() {
         .config(SimConfig::for_mdes(
             MachineDesc::builder().issue_width(8).build(),
         ))
+        .sink(Box::new(JsonlSink::new()))
         .build();
-    m2.attach_sink(Box::new(JsonlSink::new()));
     m2.set_reg(Reg::int(3), 0x1000);
     m2.set_reg(Reg::int(6), 0x3000);
     m2.set_reg(Reg::int(4), 0x1100);

@@ -614,8 +614,10 @@ fn cmd_trace(args: &Args) {
             "unknown format '{other}' (timeline, jsonl, or chrome)"
         )),
     };
-    let mut m = SimSession::for_function(&func).config(cfg).build();
-    m.attach_sink(sink);
+    let mut m = SimSession::for_function(&func)
+        .config(cfg)
+        .sink(sink)
+        .build();
     apply_machine_flags(args, &mut m);
     let result = m.run();
     let mut sink = m.take_sink().expect("sink was attached");
@@ -672,24 +674,18 @@ fn cmd_trace(args: &Args) {
 /// cycle through all four models at widths 1/2/4/8; `--model`/`--width`
 /// pin one axis for reproduction.
 fn cmd_fuzz(args: &Args) {
+    use sentinel::fuzz::FuzzCase;
     let parse_frac = |name: &str| -> f64 {
-        match args.flag(name) {
-            Some(s) => {
-                let v: f64 = s
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad --{name} '{s}'")));
-                if !(0.0..=1.0).contains(&v) {
-                    fail(&format!("--{name} must lie in [0, 1], got {v}"));
-                }
-                v
-            }
-            None => 0.0,
-        }
+        args.flag(name).map_or(0.0, |s| {
+            s.parse()
+                .unwrap_or_else(|_| fail(&format!("bad --{name} '{s}'")))
+        })
     };
     // `--spec` replays exactly one recorded (or quoted) case.
     if let Some(arg) = args.flag("spec") {
         let spec = resolve_spec_arg(args, arg);
-        let case = sentinel::fuzz::FuzzCase::from_spec(&spec)
+        let case = FuzzCase::from_spec(&spec)
+            .and_then(|case| case.validate().map(|()| case))
             .unwrap_or_else(|e| fail(&format!("--spec: {e}")));
         match sentinel::fuzz::run_case(&case) {
             Ok(()) => println!("fuzz: case passed (spec {})", spec.hash_hex()),
@@ -709,6 +705,18 @@ fn cmd_fuzz(args: &Args) {
     let width = args.flag("width").map(|s| parse_num(s) as usize);
     let alias = parse_frac("alias");
     let traps = parse_frac("traps");
+    // Every case of the batch is one of these (model, width) points with
+    // these fractions; `validate` names the first bad knob.
+    for (model, width) in sentinel::fuzz::grid(model, width) {
+        let case = FuzzCase {
+            seed,
+            model,
+            width,
+            alias_frac: alias,
+            trap_frac: traps,
+        };
+        case.validate().unwrap_or_else(|e| fail(&format!("--{e}")));
+    }
     match sentinel::fuzz::run_batch_detail(seed, count, alias, traps, model, width) {
         Ok(n) => println!(
             "fuzz: {n} case(s) passed (seeds {seed}..{}, alias {alias}, traps {traps})",

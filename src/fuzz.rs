@@ -4,29 +4,30 @@
 //! A fuzz case is `(seed, model, width, alias_frac, trap_frac)`. The seed
 //! fully determines the generated program and its memory image
 //! ([`sentinel_workloads::fuzz_spec`]); the case is scheduled under the
-//! given model, run on the interpreter and on the compiled machine
-//! (`turbo`; the `fast` label runs the same machine), and every
-//! observable — run outcome, statistics, final registers *with
-//! exception tags*, full memory, the `TraceEvent` log, and the pipeline
-//! event stream from an attached sink — must match exactly (the
-//! interpreter is the oracle). Any divergence is reported with a
-//! one-command repro line naming the engine pair.
+//! given model and run twice. The interpreter, the oracle, runs
+//! instrumented (a trace sink plus `collect_trace`), so its event and
+//! trace paths run too; the compiled machine (`turbo`; the `fast` label
+//! runs the same machine) runs uninstrumented, on the loop every
+//! measurement uses. Every observable both expose — run outcome,
+//! statistics, final registers *with exception tags*, full memory, the
+//! execution profile, and the PC history queue — must match exactly.
+//! Any divergence is reported with a one-command repro line naming the
+//! engine pair.
 //!
 //! Entry points: [`run_case`] for a single case, [`run_batch`] for a
 //! seed sweep (the CLI `sentinel fuzz` and `tests/fuzz_differential.rs`
 //! are thin wrappers over these).
 
-use std::sync::{Arc, Mutex};
-
 use sentinel_core::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel_isa::{MachineDesc, Reg};
-use sentinel_prog::Function;
+use sentinel_prog::profile::Profile;
+use sentinel_serve::api::MAX_WIDTH;
 use sentinel_sim::{
-    Engine, RunOutcome, SimConfig, SimError, SimSession, SpeculationSemantics, Stats, TraceEvent,
+    Engine, PcHistoryQueue, RunOutcome, SimConfig, SimError, SimSession, SimSessionBuilder, Stats,
 };
-use sentinel_spec::{JobSpec, ProgramRef, SpecKind};
-use sentinel_trace::{Event, TraceSink};
-use sentinel_workloads::{fuzz_spec, generate, Workload};
+use sentinel_spec::{semantics_for, JobSpec, ProgramRef, SpecKind};
+use sentinel_trace::CollectSink;
+use sentinel_workloads::{fuzz_spec, generate, Workload, MAX_TRAP_FRAC};
 
 /// One differential fuzz case.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,6 +55,34 @@ impl FuzzCase {
             self.alias_frac,
             self.trap_frac
         )
+    }
+
+    /// Checks the knobs against what the generator and the machine
+    /// accept: `width` in `1..=`[`MAX_WIDTH`] (serve's bound),
+    /// `alias_frac` in `[0, 1]`, and `trap_frac` in
+    /// `[0, `[`MAX_TRAP_FRAC`]`]`.
+    ///
+    /// # Errors
+    ///
+    /// A message that starts with the offending knob's name as the CLI
+    /// spells it (`width`, `alias`, or `traps`).
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=MAX_WIDTH).contains(&self.width) {
+            return Err(format!(
+                "width must lie in [1, {MAX_WIDTH}], got {}",
+                self.width
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.alias_frac) {
+            return Err(format!("alias must lie in [0, 1], got {}", self.alias_frac));
+        }
+        if !(0.0..=MAX_TRAP_FRAC).contains(&self.trap_frac) {
+            return Err(format!(
+                "traps must lie in [0, {MAX_TRAP_FRAC}], got {}",
+                self.trap_frac
+            ));
+        }
+        Ok(())
     }
 
     /// The canonical [`JobSpec`] this case denotes. Seeded specs are
@@ -110,60 +139,19 @@ pub fn parse_model(tag: &str) -> Option<SchedulingModel> {
     }
 }
 
-/// The speculation semantics each model is simulated under (general
-/// percolation loses exceptions by design; every other model defers via
-/// sentinel tags).
-pub fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
-    match model {
-        SchedulingModel::GeneralPercolation => SpeculationSemantics::Silent,
-        _ => SpeculationSemantics::SentinelTags,
-    }
-}
-
-/// A sink that shares its buffer with the caller, surviving the engine
-/// taking ownership of the boxed sink.
-#[derive(Default)]
-struct SharedSink {
-    events: Arc<Mutex<Vec<Event>>>,
-}
-
-impl TraceSink for SharedSink {
-    fn record(&mut self, event: &Event) {
-        self.events.lock().unwrap().push(event.clone());
-    }
-
-    fn finish(&mut self) -> String {
-        String::new()
-    }
-}
-
-/// Everything one run exposes.
+/// Everything both machines expose after a run.
 #[derive(Debug, PartialEq)]
 struct Observation {
     outcome: Result<RunOutcome, SimError>,
     stats: Stats,
     regs: Vec<(u64, bool)>,
     memory: Vec<(u64, u8)>,
-    trace: Vec<TraceEvent>,
-    events: Vec<Event>,
+    profile: Profile,
+    pc_history: PcHistoryQueue,
 }
 
-fn observe(
-    func: &Function,
-    cfg: &SimConfig,
-    mdes: &MachineDesc,
-    w: &Workload,
-    engine: Engine,
-) -> Observation {
-    let buffer: Arc<Mutex<Vec<Event>>> = Arc::default();
-    let sink = SharedSink {
-        events: buffer.clone(),
-    };
-    let mut m = SimSession::for_function(func)
-        .config(cfg.clone())
-        .engine(engine)
-        .sink(Box::new(sink))
-        .build();
+fn observe(session: SimSessionBuilder<'_>, mdes: &MachineDesc, w: &Workload) -> Observation {
+    let mut m = session.build();
     for &(s, l) in &w.mem_regions {
         m.memory_mut().map_region(s, l);
     }
@@ -180,16 +168,13 @@ fn observe(
         let v = m.reg(Reg::fp(i as u16));
         regs.push((v.data, v.tag));
     }
-    let trace = m.trace().to_vec();
-    drop(m.take_sink());
-    let events = std::mem::take(&mut *buffer.lock().unwrap());
     Observation {
         outcome,
         stats: *m.stats(),
         regs,
         memory: m.memory().snapshot(),
-        trace,
-        events,
+        profile: m.profile().clone(),
+        pc_history: m.pc_history().clone(),
     }
 }
 
@@ -215,18 +200,16 @@ fn describe_divergence(a: &str, lhs: &Observation, b: &str, rhs: &Observation) -
         let diff = lhs.memory.iter().zip(&rhs.memory).find(|(x, y)| x != y);
         return format!("memory image: first differing byte {diff:?}");
     }
-    if lhs.trace != rhs.trace {
+    if lhs.profile != rhs.profile {
         return format!(
-            "TraceEvent log: {} vs {} events (or contents differ)",
-            lhs.trace.len(),
-            rhs.trace.len()
+            "execution profile: {a} {:?} vs {b} {:?}",
+            lhs.profile, rhs.profile
         );
     }
-    if lhs.events != rhs.events {
+    if lhs.pc_history != rhs.pc_history {
         return format!(
-            "pipeline event stream: {} vs {} events (or contents differ)",
-            lhs.events.len(),
-            rhs.events.len()
+            "PC history queue: {a} {:?} vs {b} {:?}",
+            lhs.pc_history, rhs.pc_history
         );
     }
     "no divergence".to_string()
@@ -237,8 +220,11 @@ fn describe_divergence(a: &str, lhs: &Observation, b: &str, rhs: &Observation) -
 /// # Errors
 ///
 /// Returns a human-readable report — including the repro command — if
-/// scheduling fails or the engines diverge on any observable.
+/// the case is invalid ([`FuzzCase::validate`]), scheduling fails, or
+/// the engines diverge on any observable.
 pub fn run_case(case: &FuzzCase) -> Result<(), String> {
+    case.validate()
+        .map_err(|e| format!("invalid case: {e}\n  repro: {}", case.repro_command()))?;
     let spec = fuzz_spec(case.seed, case.alias_frac, case.trap_frac);
     let w = generate(&spec);
     let mdes = MachineDesc::paper_issue(case.width);
@@ -251,9 +237,20 @@ pub fn run_case(case: &FuzzCase) -> Result<(), String> {
     })?;
     let mut cfg = SimConfig::for_mdes(mdes.clone());
     cfg.semantics = semantics_for(case.model);
-    cfg.collect_trace = true;
-    let interp = observe(&sched.func, &cfg, &mdes, &w, Engine::Interpreter);
-    let turbo = observe(&sched.func, &cfg, &mdes, &w, Engine::Turbo);
+    let session = || SimSession::for_function(&sched.func);
+    let traced = SimConfig {
+        collect_trace: true,
+        ..cfg.clone()
+    };
+    let interp = observe(
+        session()
+            .config(traced)
+            .engine(Engine::Interpreter)
+            .sink(Box::new(CollectSink::default())),
+        &mdes,
+        &w,
+    );
+    let turbo = observe(session().config(cfg).engine(Engine::Turbo), &mdes, &w);
     if interp != turbo {
         return Err(format!(
             "engines diverged (interpreter vs turbo; seed {}, model {}, width {})\n  first divergence: {}\n{}\n  repro: {}",
@@ -393,6 +390,33 @@ mod tests {
         assert_eq!(FuzzCase::from_spec(&parsed).unwrap(), c);
         let sim = JobSpec::simulate(ProgramRef::Suite("wc".into()), c.model, 2);
         assert!(FuzzCase::from_spec(&sim).is_err());
+    }
+
+    #[test]
+    fn validate_names_the_bad_knob() {
+        let ok = FuzzCase {
+            seed: 1,
+            model: SchedulingModel::Sentinel,
+            width: 4,
+            alias_frac: 0.2,
+            trap_frac: MAX_TRAP_FRAC,
+        };
+        assert_eq!(ok.validate(), Ok(()));
+        let bad = |width, alias_frac, trap_frac| FuzzCase {
+            width,
+            alias_frac,
+            trap_frac,
+            ..ok
+        };
+        for (bad, knob) in [
+            (bad(0, 0.2, 0.1), "width"),
+            (bad(MAX_WIDTH + 1, 0.2, 0.1), "width"),
+            (bad(4, 1.5, 0.1), "alias"),
+            (bad(4, 0.2, 0.4), "traps"),
+        ] {
+            assert!(bad.validate().unwrap_err().starts_with(knob), "{bad:?}");
+            assert!(run_case(&bad).is_err(), "run_case must refuse {bad:?}");
+        }
     }
 
     #[test]

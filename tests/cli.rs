@@ -464,3 +464,41 @@ fn serve_subcommand_drains_on_sigint() {
     assert!(rest.contains("sentinel-serve draining (SIGINT)"), "{rest}");
     assert!(rest.contains("serve.http.requests"), "{rest}");
 }
+
+/// Runs `sentinel fuzz ARGS` and asserts a clean error: exit 1 (never a
+/// 101 panic) with an `error:` line naming `field`.
+fn assert_fuzz_rejects(args: &[&str], field: &str) {
+    let out = bin().arg("fuzz").args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("error:") && l.contains(field)),
+        "{args:?}: {stderr}"
+    );
+}
+
+/// A fuzz case whose trap fraction oversubscribes the instruction mix.
+const TRAP_HEAVY_SPEC: &str = "sentinel-spec/v1|kind=fuzz|prog=seeded:42:0.25:0.9|model=T|width=2";
+
+#[test]
+fn fuzz_rejects_trap_fraction_above_the_mix_bound() {
+    assert_fuzz_rejects(&["--traps", "0.4", "--count", "64"], "--traps");
+}
+
+#[test]
+fn fuzz_rejects_zero_width() {
+    assert_fuzz_rejects(&["--width", "0"], "--width");
+}
+
+#[test]
+fn fuzz_spec_rejects_trap_fraction_above_the_mix_bound() {
+    assert_fuzz_rejects(&["--spec", TRAP_HEAVY_SPEC], "traps");
+}
+
+#[test]
+fn fuzz_spec_rejects_zero_width() {
+    let spec = TRAP_HEAVY_SPEC.replace("width=2", "width=0");
+    assert_fuzz_rejects(&["--spec", &spec], "width");
+}

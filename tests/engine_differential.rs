@@ -5,12 +5,16 @@
 //! Every suite workload is scheduled under all four models and run at
 //! issue widths {1, 2, 4, 8} on both machines, asserting identical
 //! run outcome, statistics, final architectural state (every register
-//! with its exception tag, plus full memory), and — on a sampled
-//! subset — identical trace-event streams from an attached sink.
+//! with its exception tag, plus full memory), execution profile, and PC
+//! history. Traced sessions run on the interpreter whatever their label;
+//! a second test pins that routing rule.
 
 use sentinel::sched::{schedule_function, SchedOptions, SchedulingModel};
-use sentinel::sim::{Engine, RunOutcome, SimConfig, SimSession, SpeculationSemantics, Stats};
+use sentinel::sim::{Engine, PcHistoryQueue, RunOutcome, SimConfig, SimSession, Stats};
+use sentinel::spec::semantics_for;
+use sentinel::trace::{JsonlSink, TraceSink};
 use sentinel_isa::{MachineDesc, Reg};
+use sentinel_prog::profile::Profile;
 use sentinel_prog::Function;
 use sentinel_workloads::suite::suite_with_iterations;
 use sentinel_workloads::Workload;
@@ -24,21 +28,16 @@ fn apply_memory(w: &Workload, mem: &mut sentinel::sim::Memory) {
     }
 }
 
-fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
-    match model {
-        SchedulingModel::GeneralPercolation => SpeculationSemantics::Silent,
-        _ => SpeculationSemantics::SentinelTags,
-    }
-}
-
 /// Everything one run exposes: outcome, stats, every register (data and
-/// tag), and the full memory image.
+/// tag), the full memory image, the profile, and the PC history.
 #[derive(Debug, PartialEq)]
 struct Observation {
     outcome: RunOutcome,
     stats: Stats,
     regs: Vec<(u64, bool)>,
     memory: Vec<(u64, u8)>,
+    profile: Profile,
+    pc_history: PcHistoryQueue,
 }
 
 fn observe(
@@ -68,6 +67,8 @@ fn observe(
         stats: *m.stats(),
         regs,
         memory: m.memory().snapshot(),
+        profile: m.profile().clone(),
+        pc_history: m.pc_history().clone(),
     }
 }
 
@@ -94,25 +95,10 @@ fn engines_agree_on_every_workload_model_and_width() {
     }
 }
 
-/// A sink that shares its event buffer with the test, so the stream
-/// survives the engine taking ownership of the boxed sink.
-#[derive(Default)]
-struct SharedSink {
-    events: std::sync::Arc<std::sync::Mutex<Vec<sentinel::trace::Event>>>,
-}
-
-impl sentinel::trace::TraceSink for SharedSink {
-    fn record(&mut self, event: &sentinel::trace::Event) {
-        self.events.lock().unwrap().push(event.clone());
-    }
-
-    fn finish(&mut self) -> String {
-        String::new()
-    }
-}
-
-/// With a sink attached and trace collection on, both machines must
-/// produce identical pipeline-event streams and `TraceEvent` logs.
+/// The routing rule: an instrumented session runs on the interpreter
+/// whatever its label, so with a sink and trace collection on, the
+/// `fast` and `turbo` labels emit the interpreter's pipeline-event
+/// stream and `TraceEvent` log, and still report their own label.
 #[test]
 fn engines_emit_identical_trace_streams() {
     let workloads = suite_with_iterations(3);
@@ -121,30 +107,28 @@ fn engines_emit_identical_trace_streams() {
         let mdes = MachineDesc::paper_issue(4);
         let sched = schedule_function(&w.func, &mdes, &SchedOptions::new(model)).unwrap();
         let mut streams = Vec::new();
-        for engine in [Engine::Interpreter, Engine::Turbo] {
-            let buffer = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let sink = SharedSink {
-                events: buffer.clone(),
-            };
+        for engine in [Engine::Interpreter, Engine::Fast, Engine::Turbo] {
             let mut cfg = SimConfig::for_mdes(mdes.clone());
             cfg.semantics = semantics_for(model);
             cfg.collect_trace = true;
+            let sink: Box<dyn TraceSink> = Box::new(JsonlSink::new());
             let mut m = SimSession::for_function(&sched.func)
                 .config(cfg)
                 .engine(engine)
-                .sink(Box::new(sink))
+                .sink(sink)
                 .build();
+            assert_eq!(m.engine(), engine, "{}: the label is kept", w.name);
             apply_memory(w, m.memory_mut());
             m.run().unwrap_or_else(|e| panic!("{}: {e}", w.name));
             let trace = m.trace().to_vec();
-            drop(m.take_sink());
-            let events = std::mem::take(&mut *buffer.lock().unwrap());
+            let events = m.take_sink().expect("sink attached").finish();
             assert!(!events.is_empty(), "{}: sink saw no events", w.name);
+            assert!(!trace.is_empty(), "{}: no TraceEvent log", w.name);
             streams.push((events, trace));
         }
-        assert_eq!(
-            streams[0], streams[1],
-            "{}: trace streams differ (interpreter vs turbo)",
+        assert!(
+            streams.windows(2).all(|p| p[0] == p[1]),
+            "{}: an instrumented fast or turbo session left the interpreter",
             w.name
         );
     }

@@ -1,8 +1,10 @@
 //! Seeded differential fuzzing: ≥1,000 generated programs through both
-//! machines (the interpreter and the compiled `turbo` machine, which
-//! the `fast` label also runs), asserting byte-identical observations
-//! (outcome, stats, final registers with tags, memory, `TraceEvent`
-//! log, pipeline event stream) against the interpretive oracle.
+//! machines, asserting byte-identical observations (outcome, stats,
+//! final registers with tags, memory, execution profile, PC history).
+//! The interpreter, the oracle, runs with a trace sink and trace
+//! collection on; the compiled `turbo` machine (which the `fast` label
+//! also runs) runs uninstrumented, so the sweep tests `run_bare`, the
+//! loop every measurement uses.
 //!
 //! Each seed fully determines the program; failures print a one-command
 //! repro (`sentinel fuzz --seed N …`). Seeds cycle through the full

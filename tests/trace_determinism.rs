@@ -6,8 +6,9 @@
 
 use sentinel::sched::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel::sim::{SimConfig, SimSession, Stats};
+use sentinel::spec::semantics_for;
 use sentinel::trace::{ChromeTraceSink, JsonlSink, TimelineSink, TraceSink};
-use sentinel_bench::runner::{apply_memory, semantics_for};
+use sentinel_bench::runner::apply_memory;
 use sentinel_isa::MachineDesc;
 use sentinel_workloads::{suite, Workload};
 
@@ -21,8 +22,10 @@ fn traced_run(
     let s = schedule_function(&w.func, &mdes, &SchedOptions::new(model)).unwrap();
     let mut cfg = SimConfig::for_mdes(mdes);
     cfg.semantics = semantics_for(model);
-    let mut m = SimSession::for_function(&s.func).config(cfg).build();
-    m.attach_sink(sink);
+    let mut m = SimSession::for_function(&s.func)
+        .config(cfg)
+        .sink(sink)
+        .build();
     apply_memory(w, m.memory_mut());
     m.run().unwrap();
     let mut sink = m.take_sink().expect("sink attached");
@@ -55,8 +58,8 @@ fn chrome_and_timeline_are_deterministic_too() {
 
 #[test]
 fn stall_counters_cover_every_non_issuing_cycle() {
-    // Across the whole suite, every model and two widths: the attribution
-    // invariant must hold exactly, with and without a sink attached.
+    // Across the whole suite, every model and two widths, untraced (so on
+    // the compiled machine): the attribution invariant must hold exactly.
     for w in suite::suite() {
         for model in SchedulingModel::all() {
             for width in [2, 8] {
@@ -86,8 +89,9 @@ fn stall_counters_cover_every_non_issuing_cycle() {
 
 #[test]
 fn tracing_does_not_change_timing() {
-    // Attaching a sink must be observation-only: cycle counts and all
-    // other statistics are identical with and without one.
+    // Attaching a sink must be observation-only: the traced run (which
+    // runs on the interpreter) has the same cycle counts and statistics
+    // as the untraced one (on the compiled machine).
     let w = suite::by_name("doduc").unwrap();
     let mdes = MachineDesc::paper_issue(8);
     let s = schedule_function(
@@ -97,12 +101,11 @@ fn tracing_does_not_change_timing() {
     )
     .unwrap();
     let run = |sink: Option<Box<dyn TraceSink>>| {
-        let mut m = SimSession::for_function(&s.func)
-            .config(SimConfig::for_mdes(mdes.clone()))
-            .build();
+        let mut b = SimSession::for_function(&s.func).config(SimConfig::for_mdes(mdes.clone()));
         if let Some(sink) = sink {
-            m.attach_sink(sink);
+            b = b.sink(sink);
         }
+        let mut m = b.build();
         apply_memory(&w, m.memory_mut());
         m.run().unwrap();
         *m.stats()
