@@ -473,41 +473,36 @@ pub fn ablation_cache(session: &GridSession, penalties: &[u32]) -> Vec<(String, 
 /// used by the register allocator"; this measures the maximum number of
 /// simultaneously live registers in sentinel-scheduled code with and
 /// without the recovery constraints (which add renaming-introduced
-/// virtual registers and restore moves). Pure scheduling — no
-/// simulation — parallelized per benchmark.
+/// virtual registers and restore moves). No simulation: the S×8 and
+/// S×8 + recovery programs are the grid's own compiles (ablation A2
+/// measures the same two points), read through the session's program
+/// cache, and the analysis is parallelized per benchmark.
 pub fn ablation_register_pressure(session: &GridSession) -> Vec<(String, usize, usize)> {
-    use sentinel_core::{schedule_function, SchedOptions};
     use sentinel_prog::cfg::Cfg;
     use sentinel_prog::liveness::Liveness;
 
-    let mdes = sentinel_isa::MachineDesc::paper_issue(8);
     let max_live = |func: &sentinel_prog::Function| -> usize {
         let cfg = Cfg::build(func);
         let lv = Liveness::compute(func, &cfg);
         let mut max = 0usize;
-        for bid in func.layout() {
-            let n = func.block(*bid).insns.len();
-            for pos in 0..=n {
-                max = max.max(lv.live_before(func, *bid, pos).len());
-            }
+        for &bid in func.layout() {
+            lv.for_each_point(func, bid, |_, live| max = max.max(live.len()));
         }
         max
     };
 
     parallel_map(session.jobs(), session.workloads(), |w| {
-        let plain = schedule_function(
-            &w.func,
-            &mdes,
-            &SchedOptions::new(SchedulingModel::Sentinel),
-        )
-        .unwrap();
-        let rec = schedule_function(
-            &w.func,
-            &mdes,
-            &SchedOptions::new(SchedulingModel::Sentinel).with_recovery(),
-        )
-        .unwrap();
-        (w.name.clone(), max_live(&plain.func), max_live(&rec.func))
+        let pressure = |recovery: bool| {
+            let mut cell = Cell::paper(&w.name, SchedulingModel::Sentinel, 8);
+            cell.recovery = recovery;
+            let prepared = session.prepared(&cell);
+            let p = prepared
+                .as_ref()
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            max_live(&p.func)
+        };
+        (w.name.clone(), pressure(false), pressure(true))
     })
 }
 
@@ -644,6 +639,40 @@ mod tests {
             failed: BTreeMap::new(),
         };
         row.speedup(SchedulingModel::SentinelStores, 8);
+    }
+
+    /// Ablation A9 measures the same S×8 and S×8 + recovery programs
+    /// ablation A2 simulates: it must read them from the session's
+    /// program cache, not compile them again.
+    #[test]
+    fn register_pressure_reuses_the_recovery_ablations_compiles() {
+        use sentinel_trace::sim::{SIM_PROGRAM_CACHE_HIT, SIM_PROGRAM_CACHE_MISS};
+        use sentinel_workloads::{generate, WorkloadSpec};
+
+        let workloads = [("tiny", 3), ("tiny2", 5)]
+            .map(|(name, seed)| {
+                let mut spec = WorkloadSpec::test_default(name, seed);
+                spec.iterations = 10;
+                generate(&spec)
+            })
+            .to_vec();
+        let session = GridSession::new(Arc::new(workloads), 2);
+        ablation_recovery(&session);
+        let before = session.metrics();
+        let rows = ablation_register_pressure(&session);
+        let after = session.metrics();
+        assert_eq!(
+            after.counter(SIM_PROGRAM_CACHE_MISS),
+            before.counter(SIM_PROGRAM_CACHE_MISS),
+            "A9 compiled a schedule point A2 had already compiled"
+        );
+        assert_eq!(
+            after.counter(SIM_PROGRAM_CACHE_HIT),
+            before.counter(SIM_PROGRAM_CACHE_HIT) + 4,
+            "two programs per benchmark, read through the cache"
+        );
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|(_, plain, rec)| *plain > 0 && *rec > 0));
     }
 
     #[test]

@@ -472,6 +472,54 @@ impl GridSession {
             .then(|| cell.spec(self.engine).canonical())
     }
 
+    /// The compiled program of `cell`'s schedule point, from the
+    /// session's shared [`ProgramCache`]: whichever cell or caller
+    /// reaches a point first compiles it, and everyone after shares that
+    /// compile. Analyses that need the scheduled code but no simulation
+    /// read it here instead of compiling it again.
+    ///
+    /// # Panics
+    ///
+    /// If `cell.bench` is not in the session's workload set.
+    pub fn prepared(&self, cell: &Cell) -> Arc<Result<Prepared, MeasureError>> {
+        let w = self
+            .workload(&cell.bench)
+            .unwrap_or_else(|| panic!("unknown benchmark '{}'", cell.bench));
+        self.compile(w, cell, &self.config(cell))
+    }
+
+    /// `cell`'s measurement configuration under the session's engine
+    /// and verifier setting.
+    fn config(&self, cell: &Cell) -> MeasureConfig {
+        let mut cfg = cell.config();
+        cfg.engine = self.engine;
+        cfg.verify_passes = self.verify_passes;
+        cfg
+    }
+
+    /// Compiles `cell`'s schedule point at most once per session,
+    /// recording the compile-pass metrics inside the fill, once per
+    /// compile rather than once per cell.
+    fn compile(
+        &self,
+        w: &Workload,
+        cell: &Cell,
+        cfg: &MeasureConfig,
+    ) -> Arc<Result<Prepared, MeasureError>> {
+        let key = cell.spec(self.engine).schedule_hash();
+        let metrics = self.cache.metrics();
+        self.programs.get_or_fill(key, || {
+            let p = prepare(w, cfg)?;
+            metrics.count(sentinel_trace::compile::PASS_RUNS, p.passes.total_runs());
+            for r in p.passes.reports() {
+                if let Some(name) = pass_metric(r.name) {
+                    metrics.observe(name, r.wall.as_micros() as u64);
+                }
+            }
+            Ok(p)
+        })
+    }
+
     /// Schedules + simulates one cell with panic isolation.
     ///
     /// The compile half goes through the session's shared
@@ -495,22 +543,8 @@ impl GridSession {
                     panic!("injected fault for {cell}");
                 }
             }
-            let mut cfg = cell.config();
-            cfg.engine = self.engine;
-            cfg.verify_passes = self.verify_passes;
-            let key = cell.spec(self.engine).schedule_hash();
-            let metrics = self.cache.metrics().clone();
-            let prepared = self.programs.get_or_fill(key, || {
-                let p = prepare(w, &cfg)?;
-                metrics.count(sentinel_trace::compile::PASS_RUNS, p.passes.total_runs());
-                for r in p.passes.reports() {
-                    if let Some(name) = pass_metric(r.name) {
-                        metrics.observe(name, r.wall.as_micros() as u64);
-                    }
-                }
-                Ok(p)
-            });
-            match prepared.as_ref() {
+            let cfg = self.config(cell);
+            match self.compile(w, cell, &cfg).as_ref() {
                 Ok(p) => simulate_prepared(w, &cfg, p),
                 Err(e) => Err(e.clone()),
             }

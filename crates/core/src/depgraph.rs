@@ -64,15 +64,45 @@ pub struct Node {
 }
 
 /// The dependence graph of one block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DepGraph {
     /// Nodes; indices `0..original_len` are the block's instructions in
     /// original order.
     pub nodes: Vec<Node>,
     /// Number of original instructions.
     pub original_len: usize,
+    /// Edge lists, indexed by node. A rebuilt graph keeps the lists of
+    /// its previous block (cleared) past `nodes.len()`.
     succs: Vec<Vec<Dep>>,
     preds: Vec<Vec<Dep>>,
+    /// The builder's per-register state, kept for the next rebuild.
+    regs: RegTables,
+}
+
+/// Per-register state of the builder, in tables indexed by register
+/// slot: `index` for integer registers, `stride + index` for fp ones,
+/// where `stride` is the block's largest register index + 1.
+#[derive(Debug, Clone, Default)]
+struct RegTables {
+    last_def: Vec<Option<usize>>,
+    readers_since_def: Vec<Vec<usize>>,
+    /// Definitions seen so far: the SSA-ish version of a base register.
+    versions: Vec<u32>,
+}
+
+impl RegTables {
+    /// Empties the tables for `slots` slots, keeping their allocations.
+    fn reset(&mut self, slots: usize) {
+        self.last_def.clear();
+        self.last_def.resize(slots, None);
+        self.versions.clear();
+        self.versions.resize(slots, 0);
+        self.readers_since_def.truncate(slots);
+        for readers in &mut self.readers_since_def {
+            readers.clear();
+        }
+        self.readers_since_def.resize_with(slots, Vec::new);
+    }
 }
 
 /// Whether `op` delimits a sentinel *home block* (region). Branches and
@@ -117,7 +147,10 @@ impl MemRef {
     }
 }
 
-fn mem_ref(insn: &Insn, versions: &std::collections::HashMap<Reg, u32>) -> Option<MemRef> {
+/// The memory reference of `insn`, if it is a load or store;
+/// `base_version` gives the number of definitions of a register seen so
+/// far in the block.
+fn mem_ref(insn: &Insn, base_version: impl Fn(Reg) -> u32) -> Option<MemRef> {
     if !insn.op.is_mem() {
         return None;
     }
@@ -128,7 +161,7 @@ fn mem_ref(insn: &Insn, versions: &std::collections::HashMap<Reg, u32>) -> Optio
     };
     Some(MemRef {
         base,
-        base_version: versions.get(&base).copied().unwrap_or(0),
+        base_version: base_version(base),
         offset: insn.imm,
         bytes,
     })
@@ -155,39 +188,65 @@ impl DepGraph {
         recovery: bool,
         noalias: &std::collections::BTreeSet<Reg>,
     ) -> DepGraph {
-        let n = block.insns.len();
-        let mut g = DepGraph {
-            nodes: block
-                .insns
-                .iter()
-                .enumerate()
-                .map(|(i, insn)| Node {
-                    insn: insn.clone(),
-                    orig_pos: Some(i),
-                })
-                .collect(),
-            original_len: n,
-            succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
-        };
+        let mut g = DepGraph::default();
+        g.rebuild_with_aliasing(block, mdes, recovery, noalias);
+        g
+    }
+
+    /// Like [`DepGraph::build_with_aliasing`], but rebuilds `self` in
+    /// place for `block`, reusing the allocations of the graph it held
+    /// (the edge lists and the builder's register tables). The compile
+    /// session builds every block of a function in one recycled graph.
+    pub fn rebuild_with_aliasing(
+        &mut self,
+        block: &Block,
+        mdes: &MachineDesc,
+        recovery: bool,
+        noalias: &std::collections::BTreeSet<Reg>,
+    ) {
         let _ = recovery;
+        let n = block.insns.len();
+        let g = self;
+        g.nodes.clear();
+        g.nodes
+            .extend(block.insns.iter().enumerate().map(|(i, insn)| Node {
+                insn: insn.clone(),
+                orig_pos: Some(i),
+            }));
+        g.original_len = n;
+        for edges in g.succs.iter_mut().chain(g.preds.iter_mut()) {
+            edges.clear();
+        }
+        if g.succs.len() < n {
+            g.succs.resize_with(n, Vec::new);
+            g.preds.resize_with(n, Vec::new);
+        }
 
         // --- register dependences -------------------------------------
-        use std::collections::HashMap;
-        let mut last_def: HashMap<Reg, usize> = HashMap::new();
-        let mut readers_since_def: HashMap<Reg, Vec<usize>> = HashMap::new();
-        let mut versions: HashMap<Reg, u32> = HashMap::new();
+        let stride = block
+            .insns
+            .iter()
+            .flat_map(|insn| insn.raw_srcs().chain(insn.dest))
+            .map(|r| r.index() as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let slot = |r: Reg| r.index() as usize + if r.is_fp() { stride } else { 0 };
+        let mut regs = std::mem::take(&mut g.regs);
+        regs.reset(2 * stride);
+        let RegTables {
+            last_def,
+            readers_since_def,
+            versions,
+        } = &mut regs;
         // Memory state.
         let mut last_store: Option<usize> = None;
         let mut stores_since: Vec<(usize, Option<MemRef>)> = Vec::new(); // all stores, for alias-refined edges
         let mut loads_since_store: Vec<(usize, Option<MemRef>)> = Vec::new();
-        // Barrier state.
-        let mut last_barrier: Option<usize> = None;
 
         for (i, insn) in block.insns.iter().enumerate() {
             // Flow: last def of each source.
             for src in insn.uses() {
-                if let Some(&d) = last_def.get(&src) {
+                if let Some(d) = last_def[slot(src)] {
                     let lat = mdes.latency(block.insns[d].op);
                     g.add_edge(Dep {
                         from: d,
@@ -196,11 +255,12 @@ impl DepGraph {
                         kind: DepKind::Flow,
                     });
                 }
-                readers_since_def.entry(src).or_default().push(i);
+                readers_since_def[slot(src)].push(i);
             }
             if let Some(d) = insn.def() {
+                let d = slot(d);
                 // Output: previous def of the same register.
-                if let Some(&p) = last_def.get(&d) {
+                if let Some(p) = last_def[d] {
                     let lp = mdes.latency(block.insns[p].op) as i64;
                     let li = mdes.latency(insn.op) as i64;
                     let lat = (lp - li + 1).max(1) as u32;
@@ -212,25 +272,23 @@ impl DepGraph {
                     });
                 }
                 // Anti: readers of the old value.
-                if let Some(rs) = readers_since_def.get(&d) {
-                    for &r in rs {
-                        if r != i {
-                            g.add_edge(Dep {
-                                from: r,
-                                to: i,
-                                latency: 0,
-                                kind: DepKind::Anti,
-                            });
-                        }
+                for &r in &readers_since_def[d] {
+                    if r != i {
+                        g.add_edge(Dep {
+                            from: r,
+                            to: i,
+                            latency: 0,
+                            kind: DepKind::Anti,
+                        });
                     }
                 }
-                last_def.insert(d, i);
-                readers_since_def.insert(d, Vec::new());
-                *versions.entry(d).or_insert(0) += 1;
+                last_def[d] = Some(i);
+                readers_since_def[d].clear();
+                versions[d] += 1;
             }
 
             // --- memory ordering ---------------------------------------
-            let mref = mem_ref(insn, &versions);
+            let mref = mem_ref(insn, |base| versions[slot(base)]);
             if insn.op.is_load() {
                 // Flow from possibly-aliasing earlier stores.
                 for &(s, sref) in &stores_since {
@@ -334,12 +392,8 @@ impl DepGraph {
                     });
                 }
             }
-            let _ = &last_barrier;
-            if insn.op.is_irreversible() {
-                last_barrier = Some(i);
-            }
         }
-        g
+        g.regs = regs;
     }
 
     fn ensure(&mut self, idx: usize) {
@@ -436,6 +490,9 @@ impl DepGraph {
         // topological order for original nodes (all edges go forward), and
         // inserted nodes only link into existing ones, so iterate until
         // fixpoint (cheap: graphs are DAGs, a couple of passes suffice).
+        // Without inserted nodes the first pass already is the fixpoint.
+        let forward_only = n == self.original_len;
+        debug_assert!(!forward_only || self.succs[..n].iter().flatten().all(|e| e.from < e.to));
         let mut changed = true;
         while changed {
             changed = false;
@@ -450,7 +507,7 @@ impl DepGraph {
                 }
                 if h[i] != best {
                     h[i] = best;
-                    changed = true;
+                    changed = !forward_only;
                 }
             }
         }

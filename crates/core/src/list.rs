@@ -22,9 +22,8 @@
 //! inputs (restriction 4's dynamic half) and every later same-region
 //! store.
 
-use std::collections::HashMap;
-
 use sentinel_isa::{Insn, InsnId, MachineDesc, Opcode};
+use sentinel_prog::liveness::RegSet;
 
 use crate::depgraph::{is_region_delimiter, Dep, DepGraph, DepKind};
 use crate::models::SchedOptions;
@@ -99,6 +98,14 @@ pub fn schedule_block(
     let mut earliest: Vec<u64> = vec![0; g.len()];
     let mut pending: Vec<usize> = (0..g.len()).map(|i| g.preds(i).len()).collect();
 
+    // Ready list: the unscheduled nodes with no pending predecessor. An
+    // entry goes stale when its node issues or gains a predecessor (a
+    // sentinel edge); stale entries are dropped at the next pick.
+    let mut ready: Vec<usize> = (0..g.len()).filter(|&i| pending[i] == 0).collect();
+    // Original conditional branches, in program order: the branches an
+    // issuing instruction can have moved above.
+    let branches = g.branch_positions();
+
     let mut linear: Vec<usize> = Vec::new();
     let mut cycle: u64 = 0;
     let mut slots = 0usize;
@@ -109,11 +116,12 @@ pub fn schedule_block(
     let mut confirm_of_store: Vec<(usize, usize)> = Vec::new();
 
     while remaining > 0 {
+        ready.retain(|&i| sched[i].is_none() && pending[i] == 0);
         // Pick the best ready node at the current cycle.
         let mut best: Option<usize> = None;
         if slots < mdes.issue_width() {
-            for i in 0..g.len() {
-                if sched[i].is_some() || pending[i] != 0 || earliest[i] > cycle {
+            for &i in &ready {
+                if earliest[i] > cycle {
                     continue;
                 }
                 let is_branch = g.nodes[i].insn.op.class() == sentinel_isa::OpClass::Branch;
@@ -148,10 +156,7 @@ pub fn schedule_block(
 
         let Some(node) = best else {
             // Advance to the next time anything could issue.
-            let next = (0..g.len())
-                .filter(|&i| sched[i].is_none() && pending[i] == 0)
-                .map(|i| earliest[i].max(cycle + 1))
-                .min();
+            let next = ready.iter().map(|&i| earliest[i].max(cycle + 1)).min();
             match next {
                 Some(c) => {
                     cycle = c;
@@ -179,8 +184,10 @@ pub fn schedule_block(
         // Sentinel hook: did this original instruction move above a branch?
         let mut inserted: Option<usize> = None;
         if let Some(p) = g.nodes[node].orig_pos {
-            let crossed = (0..orig_n)
-                .filter(|&b| b < p && g.nodes[b].insn.op.is_cond_branch() && sched[b].is_none())
+            let crossed = branches
+                .iter()
+                .take_while(|&&b| b < p)
+                .filter(|&&b| sched[b].is_none())
                 .count();
             let moved_above = crossed > 0;
             if moved_above && g.nodes[node].insn.op.may_be_speculative() {
@@ -211,6 +218,7 @@ pub fn schedule_block(
                     sched.push(None);
                     earliest.push(0);
                     pending.push(0);
+                    ready.push(j);
                     remaining += 1;
                     if is_store {
                         confirm_of_store.push((j, node));
@@ -273,9 +281,8 @@ pub fn schedule_block(
                     // inputs survive to the sentinel.
                     if opts.recovery {
                         let span_end = re;
-                        let span_inputs: std::collections::HashSet<_> = (p..span_end)
-                            .flat_map(|q| g.nodes[q].insn.uses().collect::<Vec<_>>())
-                            .collect();
+                        let span_inputs: RegSet =
+                            (p..span_end).flat_map(|q| g.nodes[q].insn.uses()).collect();
                         for x in p + 1..span_end {
                             if sched[x].is_some() || x == node {
                                 continue;
@@ -308,19 +315,24 @@ pub fn schedule_block(
         let _ = inserted;
 
         // Release successors.
-        for e in g.succs(node).to_vec() {
+        for e in g.succs(node) {
             earliest[e.to] = earliest[e.to].max(cycle + e.latency as u64);
             pending[e.to] -= 1;
+            if pending[e.to] == 0 {
+                ready.push(e.to);
+            }
         }
     }
 
     // --- post-pass: confirm_store indices + separation constraint -------
-    let pos_in_linear: HashMap<usize, usize> =
-        linear.iter().enumerate().map(|(k, &n)| (n, k)).collect();
+    let mut pos_in_linear = vec![0; g.len()];
+    for (k, &n) in linear.iter().enumerate() {
+        pos_in_linear[n] = k;
+    }
     let mut violating_stores: Vec<InsnId> = Vec::new();
     for &(confirm, store) in &confirm_of_store {
-        let s = pos_in_linear[&store];
-        let c = pos_in_linear[&confirm];
+        let s = pos_in_linear[store];
+        let c = pos_in_linear[confirm];
         debug_assert!(s < c, "confirm after its store");
         let between = linear[s + 1..c]
             .iter()

@@ -27,9 +27,10 @@
 //! speculative-load support this counted-loop version does not need —
 //! exactly the paper's point.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use sentinel_isa::{BlockId, Insn, MachineDesc, Opcode, Reg};
+use sentinel_prog::liveness::RegSet;
 use sentinel_prog::Function;
 
 /// The recognized canonical loop.
@@ -126,7 +127,7 @@ fn legality(shape: &LoopShape, func: &Function) -> Option<HashMap<Reg, i64>> {
     }
     let noalias = func.noalias_bases();
 
-    let mut defined: HashSet<Reg> = HashSet::new();
+    let mut defined = RegSet::new();
     for insn in &shape.body {
         // No control, irreversible, sentinel, or tag-spill ops.
         if insn.op.is_control()

@@ -78,6 +78,9 @@ pub struct PassCtx<'a> {
     pub block: Option<BlockId>,
     /// Dependence graph of `block` (built by `depgraph`).
     pub graph: Option<DepGraph>,
+    /// The graph `list-schedule` last consumed, kept so the next
+    /// `depgraph` run rebuilds in its allocations.
+    pub spare_graph: Option<DepGraph>,
     /// Reduction of `graph` (built by `reduction`).
     pub reduction: Option<Reduction>,
     /// Finished per-block schedules.
@@ -105,6 +108,7 @@ impl<'a> PassCtx<'a> {
             unrenamable: HashSet::new(),
             block: None,
             graph: None,
+            spare_graph: None,
             reduction: None,
             schedules: HashMap::new(),
             stats: SchedStats::default(),

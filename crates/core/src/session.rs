@@ -41,7 +41,7 @@ use sentinel_prog::liveness::Liveness;
 use sentinel_prog::{validate, Function};
 use sentinel_trace::{CompileSink, IrDelta, PassEvent};
 
-use crate::depgraph::{Dep, DepGraph, DepKind};
+use crate::depgraph::{Dep, DepKind};
 use crate::list::schedule_block;
 use crate::models::SchedOptions;
 use crate::pass::{IrSnapshot, Pass, PassCtx, PassLog};
@@ -246,11 +246,13 @@ impl<'a> CompileSession<'a> {
         ctx: &mut PassCtx<'_>,
         pass: &mut dyn Pass,
     ) -> Result<(), ScheduleError> {
-        let before = IrSnapshot::of(&ctx.func);
+        // An analysis pass cannot change the IR (`Pass::mutates_ir`), so
+        // its delta is zero without two whole-function snapshots.
+        let before = pass.mutates_ir().then(|| IrSnapshot::of(&ctx.func));
         let t0 = Instant::now();
         let result = pass.run(ctx);
         let wall = t0.elapsed();
-        let delta = before.delta_to(IrSnapshot::of(&ctx.func));
+        let delta = before.map_or_else(IrDelta::default, |b| b.delta_to(IrSnapshot::of(&ctx.func)));
         let diags = std::mem::take(&mut ctx.diagnostics);
         self.emit(pass.name(), wall, delta, diags);
         result?;
@@ -436,7 +438,12 @@ impl Pass for BuildDepGraph {
         let bid = ctx
             .block
             .ok_or_else(|| ScheduleError::Internal("depgraph pass without a block".into()))?;
-        let mut g = DepGraph::build_with_aliasing(
+        let mut g = ctx
+            .graph
+            .take()
+            .or_else(|| ctx.spare_graph.take())
+            .unwrap_or_default();
+        g.rebuild_with_aliasing(
             ctx.func.block(bid),
             ctx.mdes,
             ctx.opts.recovery,
@@ -531,7 +538,7 @@ impl Pass for ListSchedule {
         func.block_mut(bid).insns = sched.insns.clone();
         accumulate(stats, &sched.stats);
         schedules.insert(bid, sched);
-        ctx.graph = None;
+        ctx.spare_graph = ctx.graph.take();
         ctx.reduction = None;
         Ok(())
     }

@@ -29,6 +29,16 @@ use sentinel_workloads::Workload;
 /// Largest issue width a request may ask for (guards allocation).
 pub const MAX_WIDTH: usize = 64;
 
+/// Most instructions one block of a request's program may hold.
+/// Scheduling cost grows about cubically with superblock size (each
+/// branch orders every instruction around it), so one 6,000-instruction
+/// block would hold a worker for minutes. The largest suite superblock
+/// is 55 instructions, 217 after ×4 unrolling.
+pub const MAX_BLOCK_INSNS: usize = 512;
+
+/// Most instructions a request's program may hold in total.
+pub const MAX_PROGRAM_INSNS: usize = 8_192;
+
 /// The wire-format version this server speaks. Requests may state it
 /// explicitly as `"v": 1`; any other value is a 400.
 pub const API_VERSION: u64 = 1;
@@ -799,6 +809,33 @@ fn write_sched_stats(w: &mut ObjWriter<'_>, s: &SchedStats) {
     w.raw("sched", &sched);
 }
 
+/// Parses a request's inline program and holds it to
+/// [`MAX_PROGRAM_INSNS`] and [`MAX_BLOCK_INSNS`] before anything
+/// compiles it.
+///
+/// # Errors
+///
+/// 400 for a parse error or a program over either limit, naming it.
+fn parse_program(source: &str) -> Result<Function, ApiError> {
+    let func = asm::parse(source).map_err(|e| ApiError::bad(format!("parse: {e}")))?;
+    let total = func.insn_count();
+    if total > MAX_PROGRAM_INSNS {
+        return Err(ApiError::bad(format!(
+            "program too large: {total} instructions, over the \
+             MAX_PROGRAM_INSNS limit of {MAX_PROGRAM_INSNS}"
+        )));
+    }
+    if let Some(b) = func.blocks().find(|b| b.insns.len() > MAX_BLOCK_INSNS) {
+        return Err(ApiError::bad(format!(
+            "program too large: block '{}' has {} instructions, over the \
+             MAX_BLOCK_INSNS limit of {MAX_BLOCK_INSNS}",
+            b.label,
+            b.insns.len()
+        )));
+    }
+    Ok(func)
+}
+
 /// Compiles a request end to end and serializes the response body.
 ///
 /// # Errors
@@ -806,7 +843,7 @@ fn write_sched_stats(w: &mut ObjWriter<'_>, s: &SchedStats) {
 /// 400 for parse or schedule failures — both mean the *program* was
 /// unschedulable, not that the service broke.
 fn compile_response(req: &CompileRequest) -> Result<String, ApiError> {
-    let func = asm::parse(&req.source).map_err(|e| ApiError::bad(format!("parse: {e}")))?;
+    let func = parse_program(&req.source)?;
     let mdes = mdes_for(&req.knobs);
     let mut session = CompileSession::for_function(&func)
         .mdes(&mdes)
@@ -890,9 +927,7 @@ fn simulate_response(
     // borrow below has an owner; a suite workload brings its own memory
     // image and name.
     let parsed: Option<Function> = match &req.program {
-        Program::Source(text) => {
-            Some(asm::parse(text).map_err(|e| ApiError::bad(format!("parse: {e}")))?)
-        }
+        Program::Source(text) => Some(parse_program(text)?),
         Program::Suite(_) => None,
     };
     // (function, bench label, mapped regions, initial words)
@@ -1222,6 +1257,66 @@ done:
             fast.replace("\"engine\":\"fast\"", ""),
             interp.replace("\"engine\":\"interpreter\"", "")
         );
+    }
+
+    /// One superblock of `n` × (`addi`, `ld`, `beq … exit`).
+    fn ld_beq_chain(n: usize) -> String {
+        let mut src = String::from("func @big {\nentry:\n");
+        for _ in 0..n {
+            src.push_str("    addi r1, r1, 8\n    ld r2, 0(r1)\n    beq r2, r0, exit\n");
+        }
+        src.push_str("    halt\nexit:\n    halt\n}\n");
+        src
+    }
+
+    #[test]
+    fn oversized_programs_are_refused_before_compiling() {
+        // 6,001 instructions in one block: minutes of scheduling if it
+        // got that far.
+        let big = json_str(&ld_beq_chain(2_000));
+        for err in [
+            compile_req(&format!(r#"{{"source":{big}}}"#))
+                .unwrap()
+                .run(&[])
+                .unwrap_err(),
+            simulate_req(&format!(r#"{{"source":{big}}}"#))
+                .unwrap()
+                .run(&[])
+                .unwrap_err(),
+        ] {
+            assert_eq!(err.status, 400);
+            assert!(err.message.contains("MAX_BLOCK_INSNS"), "{}", err.message);
+            assert!(
+                err.message.contains("block 'entry' has 6001"),
+                "{}",
+                err.message
+            );
+        }
+        // Many blocks, each under the block limit: the program limit.
+        let mut many = String::from("func @many {\n");
+        for k in 0..=MAX_PROGRAM_INSNS / 256 {
+            many.push_str(&format!("b{k}:\n"));
+            many.push_str(&"    addi r1, r1, 1\n".repeat(256));
+        }
+        many.push_str("    halt\n}\n");
+        let err = compile_req(&format!(r#"{{"source":{}}}"#, json_str(&many)))
+            .unwrap()
+            .run(&[])
+            .unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("MAX_PROGRAM_INSNS"), "{}", err.message);
+        // At the block limit, the program compiles.
+        let at_cap = ld_beq_chain((MAX_BLOCK_INSNS - 1) / 3);
+        let largest = asm::parse(&at_cap)
+            .unwrap()
+            .blocks()
+            .map(|b| b.insns.len())
+            .max();
+        assert_eq!(largest, Some(MAX_BLOCK_INSNS - 1));
+        compile_req(&format!(r#"{{"source":{}}}"#, json_str(&at_cap)))
+            .unwrap()
+            .run(&[])
+            .unwrap();
     }
 
     #[test]
