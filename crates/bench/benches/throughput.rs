@@ -21,7 +21,6 @@
 //! column per timed engine.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use sentinel_bench::figures::{
     ablation_boosting, ablation_cache, ablation_formation, ablation_recovery,
@@ -29,13 +28,13 @@ use sentinel_bench::figures::{
     sentinel_overhead,
 };
 use sentinel_bench::grid::GridSession;
-use sentinel_bench::runner::{apply_memory, MeasureConfig};
+use sentinel_bench::runner::{apply_memory, prepare, MeasureConfig, Prepared};
 use sentinel_bench::timing::{bench, group, time_interleaved, time_once};
 use sentinel_core::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel_isa::MachineDesc;
-use sentinel_prog::{asm, Function};
+use sentinel_prog::asm;
 use sentinel_sim::reference::Reference;
-use sentinel_sim::{Engine, SimSession, TurboProgram};
+use sentinel_sim::Engine;
 
 use sentinel_workloads::{suite, Workload};
 
@@ -85,34 +84,18 @@ fn bench_scheduler() {
 }
 
 /// Schedules `w` for the paper's sentinel model at issue 8.
-fn sched_for(w: &Workload) -> (MeasureConfig, Function) {
+fn sched_for(w: &Workload) -> (MeasureConfig, Prepared) {
     let cfg = MeasureConfig::paper(SchedulingModel::Sentinel, 8);
-    let sched = schedule_function(
-        &w.func,
-        &cfg.mdes(),
-        &SchedOptions::new(SchedulingModel::Sentinel),
-    )
-    .unwrap();
-    (cfg, sched.func)
+    let prepared = prepare(w, &cfg).unwrap();
+    (cfg, prepared)
 }
 
-/// One full run of `func` on `engine`; returns dynamic instructions.
-/// Turbo runs share `prog`, decoded once per workload — the steady
+/// One full run of `prepared` on `engine`; returns dynamic
+/// instructions. Turbo runs share the program's one decode — the steady
 /// state every production path (grid, serve) reaches via the
 /// `ProgramCache`.
-fn run_once(
-    w: &Workload,
-    cfg: &MeasureConfig,
-    func: &Function,
-    engine: Engine,
-    prog: &Arc<TurboProgram>,
-) -> u64 {
-    let builder = SimSession::for_function(func).config(cfg.sim_config());
-    let mut m = if engine == Engine::Turbo {
-        builder.program(Arc::clone(prog)).build()
-    } else {
-        builder.engine(engine).build()
-    };
+fn run_once(w: &Workload, cfg: &MeasureConfig, prepared: &Prepared, engine: Engine) -> u64 {
+    let mut m = prepared.session(cfg.sim_config(), engine).build();
     apply_memory(w, m.memory_mut());
     m.run().unwrap();
     m.stats().dyn_insns
@@ -120,13 +103,10 @@ fn run_once(
 
 /// Runs `w` on both engines and panics on any observable difference:
 /// outcome, statistics, live-out registers, or final memory.
-fn assert_engines_agree(w: &Workload, cfg: &MeasureConfig, func: &Function) {
+fn assert_engines_agree(w: &Workload, cfg: &MeasureConfig, prepared: &Prepared) {
     let mut states = Vec::new();
     for engine in ALL_ENGINES {
-        let mut m = SimSession::for_function(func)
-            .config(cfg.sim_config())
-            .engine(engine)
-            .build();
+        let mut m = prepared.session(cfg.sim_config(), engine).build();
         apply_memory(w, m.memory_mut());
         let outcome = m.run().unwrap();
         let regs: Vec<u64> = w.live_out.iter().map(|&r| m.reg(r).data).collect();
@@ -161,8 +141,8 @@ fn bench_engines(quick: bool, only: Option<Engine>) -> Vec<EngineRow> {
     // Verification pass: the whole suite, both engines, every run.
     let workloads = suite::shared();
     for w in workloads.iter() {
-        let (cfg, func) = sched_for(w);
-        assert_engines_agree(w, &cfg, &func);
+        let (cfg, prepared) = sched_for(w);
+        assert_engines_agree(w, &cfg, &prepared);
     }
     println!(
         "   (both engines agree on all {} suite workloads)",
@@ -187,19 +167,18 @@ fn bench_engines(quick: bool, only: Option<Engine>) -> Vec<EngineRow> {
     let mut rows = Vec::new();
     for name in timed {
         let w = suite::by_name(name).unwrap();
-        let (cfg, func) = sched_for(&w);
-        let prog = Arc::new(TurboProgram::new(&func, &cfg.mdes()));
-        let dyn_insns = run_once(&w, &cfg, &func, Engine::Turbo, &prog);
+        let (cfg, prepared) = sched_for(&w);
+        let dyn_insns = run_once(&w, &cfg, &prepared, Engine::Turbo);
         // Engines alternate within each timing round so host contention
         // cannot bias one engine's whole sample block; the min is the
         // uncontended-time estimate for each.
         let mut fns: Vec<Box<dyn FnMut() + '_>> = engines
             .iter()
             .map(|&engine| {
-                let (w, cfg, func, prog) = (&w, &cfg, &func, &prog);
+                let (w, cfg, prepared) = (&w, &cfg, &prepared);
                 Box::new(move || {
                     for _ in 0..reps {
-                        std::hint::black_box(run_once(w, cfg, func, engine, prog));
+                        std::hint::black_box(run_once(w, cfg, prepared, engine));
                     }
                 }) as Box<dyn FnMut() + '_>
             })

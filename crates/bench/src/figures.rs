@@ -136,13 +136,6 @@ pub fn measure_grid(session: &GridSession, models: &[SchedulingModel]) -> Vec<Be
         .collect()
 }
 
-/// Measures a set of models over the paper's widths for every benchmark
-/// in the suite (one-shot session; `reproduce` holds a long-lived
-/// session instead so figures share a cache).
-pub fn measure_suite(models: &[SchedulingModel]) -> Vec<BenchSpeedups> {
-    measure_grid(&GridSession::suite(default_jobs()), models)
-}
-
 /// Measures a set of models over the paper's widths for given workloads
 /// (one-shot session over an ad-hoc workload set).
 pub fn measure_workloads(workloads: &[Workload], models: &[SchedulingModel]) -> Vec<BenchSpeedups> {

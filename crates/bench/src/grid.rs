@@ -27,7 +27,7 @@ use std::time::Instant;
 use sentinel_core::SchedulingModel;
 use sentinel_sim::cache::CacheConfig;
 use sentinel_sim::{Engine, ProgramCache};
-use sentinel_spec::{fnv64, JobSpec, ProgramRef, Store};
+use sentinel_spec::{fnv64, model_str, JobSpec, Store};
 use sentinel_trace::{Metrics, SharedMetrics};
 use sentinel_workloads::{suite, Workload};
 
@@ -126,16 +126,11 @@ impl Cell {
     /// the grid's persistent store, in serve's response cache, and on
     /// the `sentinel simulate --spec` command line.
     pub fn spec(&self, engine: Engine) -> JobSpec {
-        let mut spec = JobSpec::simulate(
-            ProgramRef::Suite(self.bench.clone()),
-            self.model,
-            self.width,
-        );
-        spec.engine = engine;
-        spec.recovery = self.recovery;
-        spec.store_buffer = self.store_buffer;
-        spec.cache = self.cache.clone();
-        spec
+        MeasureConfig {
+            engine,
+            ..self.config()
+        }
+        .spec(&self.bench)
     }
 
     /// The measurement configuration this cell denotes.
@@ -150,7 +145,13 @@ impl Cell {
 
 impl fmt::Display for Cell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} [{} x{}", self.bench, self.model.tag(), self.width)?;
+        write!(
+            f,
+            "{} [{} x{}",
+            self.bench,
+            model_str(self.model),
+            self.width
+        )?;
         if self.recovery {
             write!(f, " +recovery")?;
         }
@@ -880,5 +881,7 @@ mod tests {
         c.recovery = true;
         assert_eq!(c.to_string(), "grep [T x8 +recovery sb=2]");
         assert_eq!(Cell::base("wc").to_string(), "wc [R x1]");
+        let boosted = Cell::paper("cmp", SchedulingModel::Boosting(2), 2);
+        assert_eq!(boosted.to_string(), "cmp [B2 x2]");
     }
 }

@@ -1,21 +1,22 @@
 //! Workload execution: schedule → simulate → measure.
 //!
-//! [`measure`] is the leaf of the evaluation pipeline; figure and
-//! ablation code does not call it in loops anymore — the
-//! [`grid`](crate::grid) engine plans, dedups, parallelizes, and
-//! memoizes cells, calling [`measure`] exactly once per distinct cell.
+//! The thin bench-side callers of the shared job pipeline
+//! ([`sentinel_spec::pipeline`]): [`prepare`] compiles a suite workload,
+//! [`simulate_prepared`] runs it and checks the outcome, and [`measure`]
+//! does both. Figure and ablation code does not call them in loops —
+//! the [`grid`](crate::grid) engine plans, dedups, parallelizes, and
+//! memoizes cells, compiling each schedule point once and simulating
+//! each distinct cell once.
 
-use std::sync::{Arc, OnceLock};
-
-use sentinel_core::{
-    CompileSession, PassLog, SchedOptions, SchedStats, ScheduleError, SchedulingModel,
-};
+use sentinel_core::{SchedStats, ScheduleError, SchedulingModel};
 use sentinel_isa::MachineDesc;
-use sentinel_prog::Function;
 use sentinel_sim::reference::{RefOutcome, Reference};
 use sentinel_sim::verify::{compare_runs, CompareSpec};
-use sentinel_sim::{Engine, Memory, RunOutcome, SimConfig, SimSession, Stats, TurboProgram};
+use sentinel_sim::{Engine, Memory, RunOutcome, SimConfig, Stats};
+use sentinel_spec::{apply_image, model_str, JobSpec, ProgramRef};
 use sentinel_workloads::Workload;
+
+pub use sentinel_spec::{semantics_for, Prepared};
 
 /// One measured run of a workload under a model and machine.
 ///
@@ -98,40 +99,36 @@ impl MeasureConfig {
         }
     }
 
-    /// The machine description this measurement schedules for and runs
-    /// on: the paper's §5.1 parameters with this config's width and
-    /// store-buffer size applied.
-    pub fn mdes(&self) -> MachineDesc {
-        MachineDesc::builder()
-            .issue_width(self.width)
-            .store_buffer_size(self.store_buffer)
-            .build()
+    /// The simulate job this configuration runs suite benchmark `bench`
+    /// as — the same spec a serve `/v1/simulate` request for it derives.
+    pub fn spec(&self, bench: &str) -> JobSpec {
+        JobSpec {
+            engine: self.engine,
+            recovery: self.recovery,
+            store_buffer: self.store_buffer,
+            cache: self.cache.clone(),
+            verify_passes: self.verify_passes,
+            ..JobSpec::simulate(ProgramRef::Suite(bench.to_string()), self.model, self.width)
+        }
     }
 
-    /// The simulator configuration for this measurement — the single
-    /// source of truth tying the machine description, the model's
-    /// speculative-fault semantics, and the cache together, so sim and
-    /// bench cannot silently diverge on a §5.1 knob.
+    /// The machine description this measurement schedules for and runs
+    /// on ([`JobSpec::mdes`]; the benchmark plays no part in it).
+    pub fn mdes(&self) -> MachineDesc {
+        self.spec("").mdes()
+    }
+
+    /// The simulator configuration for this measurement
+    /// ([`JobSpec::sim_config`]).
     pub fn sim_config(&self) -> SimConfig {
-        let mut c = SimConfig::for_mdes(self.mdes());
-        c.semantics = semantics_for(self.model);
-        c.cache = self.cache.clone();
-        c
+        self.spec("").sim_config()
     }
 }
 
 /// Applies a workload's memory image to a simulator or reference memory.
 pub fn apply_memory(w: &Workload, mem: &mut Memory) {
-    for &(start, len) in &w.mem_regions {
-        mem.map_region(start, len);
-    }
-    for &(addr, bits) in &w.mem_words {
-        mem.write_word(addr, bits)
-            .expect("image word in mapped region");
-    }
+    apply_image(mem, &w.mem_regions, &w.mem_words).expect("image word in mapped region");
 }
-
-pub use sentinel_spec::semantics_for;
 
 /// Why a workload could not be measured.
 ///
@@ -168,87 +165,14 @@ impl std::error::Error for MeasureError {
     }
 }
 
-/// A measurement together with its compile-phase pass log.
-///
-/// The pass log stays *outside* [`Measurement`] on purpose: measurements
-/// are compared with `==` by the determinism tests, and wall-clock pass
-/// timings are never reproducible.
-#[derive(Debug, Clone)]
-pub struct Measured {
-    /// The measurement.
-    pub m: Measurement,
-    /// Per-pass timing, IR deltas, and diagnostics from the compile.
-    pub passes: PassLog,
-}
-
-/// A workload compiled for one schedule point, ready to simulate.
-///
-/// Everything in here depends only on the *schedule* knobs — program,
-/// model, width, recovery, store buffer (see
-/// [`JobSpec::schedule_hash`](sentinel_spec::JobSpec::schedule_hash)) —
-/// never on the execution engine or the timing-only data cache. One
-/// `Prepared` therefore serves every engine and every cache ablation of
-/// the same schedule point, and the grid keys its shared
-/// [`ProgramCache`](sentinel_sim::ProgramCache) by exactly that hash.
-///
-/// The turbo decode is lazy: non-turbo runs never pay for it, and turbo
-/// runs decode once per `Prepared` no matter how many sessions execute
-/// it ([`OnceLock`] makes that true even across worker threads).
-#[derive(Debug)]
-pub struct Prepared {
-    /// The scheduled function.
-    pub func: Function,
-    /// Scheduler statistics.
-    pub sched: SchedStats,
-    /// Per-pass timing, IR deltas, and diagnostics from the compile.
-    pub passes: PassLog,
-    /// The machine the function was scheduled for (and decodes under).
-    mdes: MachineDesc,
-    /// Lazily decoded turbo program, shared by every turbo session.
-    turbo: OnceLock<Arc<TurboProgram>>,
-}
-
-impl Prepared {
-    /// The decoded turbo program, decoding on first use.
-    pub fn turbo_program(&self) -> Arc<TurboProgram> {
-        self.turbo
-            .get_or_init(|| Arc::new(TurboProgram::new(&self.func, &self.mdes)))
-            .clone()
-    }
-
-    /// Whether the turbo decode has happened yet.
-    pub fn turbo_decoded(&self) -> bool {
-        self.turbo.get().is_some()
-    }
-}
-
 /// Schedules a workload for one measurement configuration.
 ///
 /// # Errors
 ///
 /// [`MeasureError::Schedule`] if the scheduler rejects the workload.
 pub fn prepare(w: &Workload, cfg: &MeasureConfig) -> Result<Prepared, MeasureError> {
-    let mut opts = SchedOptions::new(cfg.model);
-    if cfg.recovery {
-        opts = opts.with_recovery();
-    }
-    if cfg.verify_passes {
-        opts = opts.with_verify_passes();
-    }
-    let mdes = cfg.mdes();
-    let mut session = CompileSession::for_function(&w.func)
-        .mdes(&mdes)
-        .options(opts)
-        .build();
-    let sched = session.run().map_err(MeasureError::Schedule)?;
-    let passes = session.log().clone();
-    Ok(Prepared {
-        func: sched.func,
-        sched: sched.stats,
-        passes,
-        mdes,
-        turbo: OnceLock::new(),
-    })
+    let spec = cfg.spec(&w.name);
+    Prepared::compile(&w.func, &spec.mdes(), spec.sched_options()).map_err(MeasureError::Schedule)
 }
 
 /// Executes an already-compiled workload, returning the measurement.
@@ -264,18 +188,13 @@ pub fn simulate_prepared(
     cfg: &MeasureConfig,
     prepared: &Prepared,
 ) -> Result<Measurement, MeasureError> {
-    let builder = SimSession::for_function(&prepared.func).config(cfg.sim_config());
-    let mut m = if cfg.engine == Engine::Turbo {
-        builder.program(prepared.turbo_program()).build()
-    } else {
-        builder.engine(cfg.engine).build()
-    };
+    let mut m = prepared.session(cfg.sim_config(), cfg.engine).build();
     apply_memory(w, m.memory_mut());
     let outcome = m.run().map_err(|e| {
         MeasureError::Sim(format!(
             "{} [{} w{}]: {e}",
             w.name,
-            cfg.model.tag(),
+            model_str(cfg.model),
             cfg.width
         ))
     })?;
@@ -283,7 +202,7 @@ pub fn simulate_prepared(
         return Err(MeasureError::Sim(format!(
             "{} [{} w{}]: unexpected trap {outcome:?}",
             w.name,
-            cfg.model.tag(),
+            model_str(cfg.model),
             cfg.width
         )));
     }
@@ -311,7 +230,7 @@ pub fn simulate_prepared(
             return Err(MeasureError::Divergence(format!(
                 "{} [{} w{}]: {divs:?}",
                 w.name,
-                cfg.model.tag(),
+                model_str(cfg.model),
                 cfg.width
             )));
         }
@@ -327,33 +246,17 @@ pub fn simulate_prepared(
     })
 }
 
-/// Schedules and executes a workload, returning the measurement plus
-/// the compiler's pass log.
+/// Schedules and executes a workload, returning the measurement.
 ///
 /// Composes [`prepare`] and [`simulate_prepared`]; callers that run the
-/// same schedule point more than once (the grid, the serve workers)
-/// cache the [`Prepared`] half instead of calling this in a loop.
+/// same schedule point more than once (the grid) cache the [`Prepared`]
+/// half instead of calling this in a loop.
 ///
 /// # Errors
 ///
 /// See [`MeasureError`].
-pub fn measure_full(w: &Workload, cfg: &MeasureConfig) -> Result<Measured, MeasureError> {
-    let prepared = prepare(w, cfg)?;
-    let m = simulate_prepared(w, cfg, &prepared)?;
-    Ok(Measured {
-        m,
-        passes: prepared.passes,
-    })
-}
-
-/// Schedules and executes a workload, returning the measurement.
-///
-/// # Errors
-///
-/// See [`MeasureError`]. Use [`measure_full`] to also get the compiler's
-/// per-pass log.
 pub fn measure(w: &Workload, cfg: &MeasureConfig) -> Result<Measurement, MeasureError> {
-    measure_full(w, cfg).map(|r| r.m)
+    simulate_prepared(w, cfg, &prepare(w, cfg)?)
 }
 
 /// Cycles of the paper's *base machine*: issue 1, restricted percolation.
@@ -392,16 +295,16 @@ mod tests {
     }
 
     #[test]
-    fn measure_full_reports_pass_log() {
+    fn prepare_reports_pass_log() {
         let w = small();
         let mut cfg = MeasureConfig::paper(SchedulingModel::Sentinel, 4);
         cfg.verify_passes = true;
-        let r = measure_full(&w, &cfg).unwrap();
-        assert!(r.m.cycles > 0);
-        assert!(r.passes.report("list-schedule").is_some());
+        let p = prepare(&w, &cfg).unwrap();
+        assert!(p.verified);
+        assert!(p.passes.report("list-schedule").is_some());
         assert_eq!(
-            r.passes.report("depgraph").unwrap().runs as usize,
-            r.m.sched.blocks
+            p.passes.report("depgraph").unwrap().runs as usize,
+            p.sched.blocks
         );
     }
 

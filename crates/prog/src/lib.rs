@@ -30,7 +30,6 @@ mod validate;
 
 pub mod asm;
 pub mod cfg;
-pub mod dominators;
 pub mod examples;
 pub mod liveness;
 pub mod object;

@@ -16,13 +16,14 @@
 //! the same bytes — the property the content-hash cache and the
 //! byte-identical-to-in-process acceptance test both rely on.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use sentinel_core::{CompileSession, SchedOptions, SchedStats, SchedulingModel};
-use sentinel_isa::MachineDesc;
+use sentinel_core::{PassLog, SchedStats, SchedulingModel};
 use sentinel_prog::{asm, Function};
-use sentinel_sim::{Engine, ProgramCache, RunOutcome, SimConfig, SimSession, TurboProgram};
-use sentinel_spec::{semantics_for, JobSpec, ProgramRef, SpecKind};
+use sentinel_sim::{Engine, ProgramCache, RunOutcome};
+use sentinel_spec::{
+    apply_image, model_str, parse_model_name, JobSpec, Prepared, ProgramRef, SpecKind,
+};
 use sentinel_trace::json::{self, ObjWriter, Value};
 use sentinel_workloads::Workload;
 
@@ -63,27 +64,6 @@ impl ApiError {
             message: message.into(),
         }
     }
-}
-
-/// Parses a scheduling-model spec (`R`, `G`, `S`, `T`, `B<k>`, or the
-/// long names the CLI accepts).
-pub fn parse_model(s: &str) -> Result<SchedulingModel, String> {
-    match s {
-        "R" | "restricted" => Ok(SchedulingModel::RestrictedPercolation),
-        "G" | "general" => Ok(SchedulingModel::GeneralPercolation),
-        "S" | "sentinel" => Ok(SchedulingModel::Sentinel),
-        "T" | "stores" => Ok(SchedulingModel::SentinelStores),
-        other => match other.strip_prefix('B').and_then(|k| k.parse::<u8>().ok()) {
-            Some(levels) => Ok(SchedulingModel::Boosting(levels)),
-            None => Err(format!("unknown model '{other}' (R, G, S, T, or B<k>)")),
-        },
-    }
-}
-
-/// The canonical spelling of a model in responses and cache keys
-/// (delegates to the shared encoding in `sentinel-spec`).
-pub fn model_str(model: SchedulingModel) -> String {
-    sentinel_spec::model_str(model)
 }
 
 /// Shared model/width/recovery knobs of both endpoints.
@@ -129,7 +109,7 @@ pub enum Program {
     Source(String),
 }
 
-/// `POST /v1/simulate`: workload + machine knobs in, `Measured`-style
+/// `POST /v1/simulate`: workload + machine knobs in, `Measurement`-style
 /// statistics out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimulateRequest {
@@ -253,7 +233,7 @@ fn opt_bool(v: &Value, key: &str) -> Result<bool, ApiError> {
 fn knobs_from(v: &Value) -> Result<Knobs, ApiError> {
     let mut knobs = Knobs::default();
     if let Some(m) = opt_str(v, "model")? {
-        knobs.model = parse_model(&m).map_err(ApiError::bad)?;
+        knobs.model = parse_model_name(&m).map_err(|e| ApiError::bad(e.to_string()))?;
     }
     if let Some(w) = v.get("width") {
         let w = w
@@ -372,12 +352,11 @@ impl SimulateRequest {
         })
     }
 
-    /// The canonical [`JobSpec`] this request describes. The
-    /// store-buffer depth is resolved from the same machine
-    /// description [`run`](ApiRequest::run) will simulate with, so a
-    /// serve-derived spec and a bench-grid-derived spec for the same
-    /// job are identical — the cross-layer key contract pinned by
-    /// `tests/spec_keys.rs`.
+    /// The canonical [`JobSpec`] this request describes, on the paper
+    /// machine's store buffer: a serve-derived spec and a
+    /// bench-grid-derived spec for the same job are identical — the
+    /// cross-layer key contract pinned by `tests/spec_keys.rs` — and
+    /// [`run`](ApiRequest::run) compiles and simulates from it.
     pub fn to_spec(&self) -> JobSpec {
         let program = match &self.program {
             Program::Suite(name) => ProgramRef::Suite(name.clone()),
@@ -386,7 +365,6 @@ impl SimulateRequest {
         let mut spec = JobSpec::simulate(program, self.knobs.model, self.knobs.width);
         spec.engine = self.engine;
         spec.recovery = self.knobs.recovery;
-        spec.store_buffer = mdes_for(&self.knobs).store_buffer_size();
         spec.map = self.map.clone();
         spec.word = self.word.clone();
         spec
@@ -776,23 +754,6 @@ impl ApiResponse {
     }
 }
 
-/// The machine description a request schedules for and runs on: the
-/// paper's §5.1 parameters at the requested width.
-fn mdes_for(knobs: &Knobs) -> MachineDesc {
-    MachineDesc::builder().issue_width(knobs.width).build()
-}
-
-fn sched_options(knobs: &Knobs, verify_passes: bool) -> SchedOptions {
-    let mut opts = SchedOptions::new(knobs.model);
-    if knobs.recovery {
-        opts = opts.with_recovery();
-    }
-    if verify_passes {
-        opts = opts.with_verify_passes();
-    }
-    opts
-}
-
 fn write_sched_stats(w: &mut ObjWriter<'_>, s: &SchedStats) {
     let mut sched = String::new();
     {
@@ -836,25 +797,30 @@ fn parse_program(source: &str) -> Result<Function, ApiError> {
     Ok(func)
 }
 
-/// Compiles a request end to end and serializes the response body.
+/// Schedules `func` for `spec`'s schedule point.
 ///
 /// # Errors
 ///
-/// 400 for parse or schedule failures — both mean the *program* was
-/// unschedulable, not that the service broke.
+/// 400 for a schedule failure: the *program* was unschedulable, not the
+/// service broken.
+fn compile(func: &Function, spec: &JobSpec) -> Result<Prepared, ApiError> {
+    Prepared::compile(func, &spec.mdes(), spec.sched_options())
+        .map_err(|e| ApiError::bad(format!("schedule: {e}")))
+}
+
+/// Compiles a request end to end and serializes the response body.
+/// Compile jobs stay out of the program cache: the schedule key leaves
+/// out `verify_passes`, so a cached entry could answer with another
+/// job's `verified` flag.
+///
+/// # Errors
+///
+/// 400 for parse or schedule failures.
 fn compile_response(req: &CompileRequest) -> Result<String, ApiError> {
-    let func = parse_program(&req.source)?;
-    let mdes = mdes_for(&req.knobs);
-    let mut session = CompileSession::for_function(&func)
-        .mdes(&mdes)
-        .options(sched_options(&req.knobs, req.verify_passes))
-        .build();
-    let scheduled = session
-        .run()
-        .map_err(|e| ApiError::bad(format!("schedule: {e}")))?;
+    let prepared = compile(&parse_program(&req.source)?, &req.to_spec())?;
 
     let mut passes = String::from("[");
-    for (i, report) in session.log().reports().iter().enumerate() {
+    for (i, report) in prepared.passes.reports().iter().enumerate() {
         if i > 0 {
             passes.push(',');
         }
@@ -868,45 +834,23 @@ fn compile_response(req: &CompileRequest) -> Result<String, ApiError> {
     let mut w = ObjWriter::new(&mut out);
     w.str("model", &model_str(req.knobs.model))
         .u64("width", req.knobs.width as u64)
-        .bool("verified", session.verifies())
-        .u64("pass_runs", session.log().total_runs());
-    write_sched_stats(&mut w, &scheduled.stats);
+        .bool("verified", prepared.verified)
+        .u64("pass_runs", prepared.passes.total_runs());
+    write_sched_stats(&mut w, &prepared.sched);
     w.raw("passes", &passes);
     if req.emit {
-        w.str("asm", &asm::print(&scheduled.func));
+        w.str("asm", &asm::print(&prepared.func));
     }
     w.close();
     Ok(out)
 }
 
-/// A simulate job compiled once and shared across requests: the
-/// scheduled function, its statistics, and a lazily decoded turbo
-/// program. Everything here depends only on the schedule point
-/// ([`JobSpec::schedule_hash`]) — never on the engine or the memory
-/// image — so one entry serves fast, turbo, and interpreter requests
-/// for the same job alike.
-#[derive(Debug)]
-pub struct PreparedJob {
-    func: Function,
-    sched: SchedStats,
-    mdes: MachineDesc,
-    turbo: OnceLock<Arc<TurboProgram>>,
-}
-
-impl PreparedJob {
-    /// The decoded turbo program, decoding at most once per entry.
-    fn turbo_program(&self) -> Arc<TurboProgram> {
-        self.turbo
-            .get_or_init(|| Arc::new(TurboProgram::new(&self.func, &self.mdes)))
-            .clone()
-    }
-}
-
 /// The decoded-program cache the service's workers share, keyed by
-/// [`JobSpec::schedule_hash`]. Compile failures are cached too — a
-/// replayed unschedulable job answers the same 400 without
-/// re-scheduling.
-pub type SimProgramCache = ProgramCache<Result<PreparedJob, ApiError>>;
+/// [`JobSpec::schedule_hash`]. One [`Prepared`] serves fast, turbo and
+/// interpreter requests for the same schedule point alike. Compile
+/// failures are cached too — a replayed unschedulable job answers the
+/// same 400 without re-scheduling.
+pub type SimProgramCache = ProgramCache<Result<Prepared, ApiError>>;
 
 /// Simulates a request end to end (schedule, then run) and serializes
 /// the response body.
@@ -946,44 +890,23 @@ fn simulate_response(
         }
     };
 
-    let compile = || -> Result<PreparedJob, ApiError> {
-        let mdes = mdes_for(&req.knobs);
-        let mut session = CompileSession::for_function(func)
-            .mdes(&mdes)
-            .options(sched_options(&req.knobs, false))
-            .build();
-        let scheduled = session
-            .run()
-            .map_err(|e| ApiError::bad(format!("schedule: {e}")))?;
-        Ok(PreparedJob {
-            func: scheduled.func,
-            sched: scheduled.stats,
-            mdes,
-            turbo: OnceLock::new(),
+    let spec = req.to_spec();
+    // Simulate bodies never read the pass log, so the programs the
+    // cache keeps drop it rather than hold it for the entry's lifetime.
+    let fill = || {
+        compile(func, &spec).map(|mut p| {
+            p.passes = PassLog::default();
+            p
         })
     };
     let prepared = match programs {
-        Some(cache) => cache.get_or_fill(req.to_spec().schedule_hash(), compile),
-        None => Arc::new(compile()),
+        Some(cache) => cache.get_or_fill(spec.schedule_hash(), fill),
+        None => Arc::new(fill()),
     };
     let prepared = prepared.as_ref().as_ref().map_err(ApiError::clone)?;
 
-    let mut cfg = SimConfig::for_mdes(prepared.mdes.clone());
-    cfg.semantics = semantics_for(req.knobs.model);
-    let builder = SimSession::for_function(&prepared.func).config(cfg);
-    let mut m = if req.engine == Engine::Turbo {
-        builder.program(prepared.turbo_program()).build()
-    } else {
-        builder.engine(req.engine).build()
-    };
-    for &(start, len) in map {
-        m.memory_mut().map_region(start, len);
-    }
-    for &(addr, bits) in word {
-        m.memory_mut()
-            .write_word(addr, bits)
-            .map_err(|e| ApiError::bad(format!("word {addr:#x}: {e}")))?;
-    }
+    let mut m = prepared.session(spec.sim_config(), req.engine).build();
+    apply_image(m.memory_mut(), map, word).map_err(ApiError::bad)?;
     let outcome = m
         .run()
         .map_err(|e| ApiError::bad(format!("simulation: {e}")))?;

@@ -3,7 +3,7 @@
 //! Turns the schedule/simulate pipeline into a long-lived service:
 //! `POST /v1/compile` schedules assembly text and reports schedule
 //! statistics; `POST /v1/simulate` runs a suite benchmark or inline
-//! source and reports `Measured`-style execution statistics;
+//! source and reports `Measurement`-style execution statistics;
 //! `GET /metrics` exposes the shared metrics registry in Prometheus
 //! text format; `GET /healthz` answers liveness probes.
 //!

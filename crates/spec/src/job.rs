@@ -196,9 +196,8 @@ pub fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
 
 /// Parse the canonical model spelling produced by [`model_str`].
 ///
-/// Deliberately strict — this is the *encoding* parser. Friendly
-/// aliases ("restricted", lowercase tags) belong to the wire and CLI
-/// layers, which normalize before building a [`JobSpec`].
+/// Deliberately strict — this is the *encoding* parser. The long names
+/// users may type ("restricted") are [`parse_model_name`]'s.
 pub fn parse_model(s: &str) -> Result<SchedulingModel, SpecError> {
     match s {
         "R" => Ok(SchedulingModel::RestrictedPercolation),
@@ -216,6 +215,22 @@ pub fn parse_model(s: &str) -> Result<SchedulingModel, SpecError> {
             )))
         }
     }
+}
+
+/// Parse a model as users spell it: the canonical tags [`parse_model`]
+/// reads (`R`, `G`, `S`, `T`, `B<k>`) or the long names `restricted`,
+/// `general`, `sentinel` and `stores`. The one friendly parser behind
+/// the serve API's `"model"` field and every CLI `--model` flag.
+pub fn parse_model_name(s: &str) -> Result<SchedulingModel, SpecError> {
+    let tag = match s {
+        "restricted" => "R",
+        "general" => "G",
+        "sentinel" => "S",
+        "stores" => "T",
+        other => other,
+    };
+    parse_model(tag)
+        .map_err(|_| SpecError::new(format!("unknown model '{s}' (R, G, S, T, or B<k>)")))
 }
 
 /// Digest of a `(u64, u64)` pair list (memory regions or initial
@@ -695,6 +710,19 @@ mod tests {
             parse_model("sentinel").is_err(),
             "encoding parser is strict"
         );
+        for (name, model) in [
+            ("restricted", SchedulingModel::RestrictedPercolation),
+            ("general", SchedulingModel::GeneralPercolation),
+            ("sentinel", SchedulingModel::Sentinel),
+            ("stores", SchedulingModel::SentinelStores),
+            ("B2", SchedulingModel::Boosting(2)),
+        ] {
+            assert_eq!(parse_model_name(name).unwrap(), model);
+        }
+        for bad in ["s", "b2", "Bx", "boost"] {
+            let err = parse_model_name(bad).unwrap_err().to_string();
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
     }
 
     #[test]

@@ -22,15 +22,24 @@
 //!   content hash back to its canonical spec (and, for inline-source
 //!   jobs, the source text), so `--spec <hash>` reproduces a job from
 //!   one identifier.
+//! * [`pipeline`] — how every layer runs a job: the machine, scheduler
+//!   options and simulator configuration a spec derives, one compile
+//!   entry ([`Prepared::compile`]) and one run entry
+//!   ([`Prepared::session`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod job;
+pub mod pipeline;
 pub mod registry;
 pub mod store;
 
-pub use job::{model_str, parse_model, semantics_for, JobSpec, ProgramRef, SpecError, SpecKind};
+pub use job::{
+    model_str, parse_model, parse_model_name, semantics_for, JobSpec, ProgramRef, SpecError,
+    SpecKind,
+};
+pub use pipeline::{apply_image, Prepared};
 pub use registry::ResolvedSpec;
 pub use store::{Store, StoreMetricNames};
 

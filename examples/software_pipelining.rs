@@ -10,6 +10,7 @@
 //! cargo run --release --example software_pipelining
 //! ```
 
+use sentinel::bench::runner::apply_memory;
 use sentinel::prelude::*;
 use sentinel::prog::asm;
 use sentinel::sched::modulo::{pipeline_all_loops, pipeline_while_loop};
@@ -17,15 +18,6 @@ use sentinel::sched::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel::sim::RunOutcome;
 use sentinel_workloads::kernels;
 use sentinel_workloads::Workload;
-
-fn apply_memory(w: &Workload, mem: &mut sentinel::sim::Memory) {
-    for &(s, l) in &w.mem_regions {
-        mem.map_region(s, l);
-    }
-    for &(a, v) in &w.mem_words {
-        mem.write_word(a, v).unwrap();
-    }
-}
 
 fn run(w: &Workload, func: &Function, mdes: &MachineDesc) -> (RunOutcome, u64) {
     let mut m = SimSession::for_function(func)

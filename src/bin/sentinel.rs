@@ -19,7 +19,7 @@
 //!                    [--raw] [-o out] [run's machine flags]
 //! sentinel reproduce [fig4|fig5|summary|...|all] [--csv] [--jobs N] [--cache-dir DIR]
 //! sentinel serve     [--addr HOST] [--port N] [--workers N] [--queue N] [--cache N] [--cache-dir PATH]
-//! sentinel fuzz      [--seed N] [--count M] [--model R|G|S|T] [--width W]
+//! sentinel fuzz      [--seed N] [--count M] [--model R|G|S|T|B<k>] [--width W]
 //!                    [--alias F] [--traps F] [--spec HASH|CANONICAL] [--cache-dir DIR]
 //! sentinel --version
 //! ```
@@ -74,22 +74,7 @@ fn load_program(path: &str) -> Function {
 }
 
 fn parse_model(s: &str) -> SchedulingModel {
-    match s {
-        "R" | "restricted" => SchedulingModel::RestrictedPercolation,
-        "G" | "general" => SchedulingModel::GeneralPercolation,
-        "S" | "sentinel" => SchedulingModel::Sentinel,
-        "T" | "stores" => SchedulingModel::SentinelStores,
-        other => {
-            if let Some(k) = other.strip_prefix('B') {
-                let levels: u8 = k
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad boosting level in '{other}'")));
-                SchedulingModel::Boosting(levels)
-            } else {
-                fail(&format!("unknown model '{other}' (R, G, S, T, or B<k>)"))
-            }
-        }
-    }
+    sentinel::spec::parse_model_name(s).unwrap_or_else(|e| fail(&e.to_string()))
 }
 
 fn parse_reg(s: &str) -> Reg {
@@ -698,10 +683,7 @@ fn cmd_fuzz(args: &Args) {
     }
     let seed = args.flag("seed").map_or(0, |s| parse_num(s) as u64);
     let count = args.flag("count").map_or(16, |s| parse_num(s) as u64);
-    let model = args.flag("model").map(|s| {
-        sentinel::fuzz::parse_model(s)
-            .unwrap_or_else(|| fail(&format!("unknown model '{s}' (R, G, S, or T)")))
-    });
+    let model = args.flag("model").map(parse_model);
     let width = args.flag("width").map(|s| parse_num(s) as usize);
     let alias = parse_frac("alias");
     let traps = parse_frac("traps");
@@ -749,7 +731,7 @@ fn usage() -> ! {
            trace     --model R|G|S|T|B<k> --issue N --format timeline|jsonl|chrome [--raw] [--recovery] [-o out] [run's machine flags]\n\
            reproduce regenerate the paper's tables/figures [fig4|fig5|summary|…|all] [--csv] [--jobs N] [--cache-dir DIR]\n\
            serve     networked compile-and-simulate service [--addr HOST] [--port N] [--workers N] [--queue N] [--cache N] [--cache-dir PATH]\n\
-           fuzz      differential fuzzer: interpreter vs turbo, byte-identical observables [--seed N] [--count M] [--model R|G|S|T] [--width W] [--alias F] [--traps F] [--spec H] [--cache-dir DIR]\n\
+           fuzz      differential fuzzer: interpreter vs turbo, byte-identical observables [--seed N] [--count M] [--model R|G|S|T|B<k>] [--width W] [--alias F] [--traps F] [--spec H] [--cache-dir DIR]\n\
            version   print the version (also --version)"
     );
     exit(2);

@@ -18,14 +18,15 @@
 //! seed sweep (the CLI `sentinel fuzz` and `tests/fuzz_differential.rs`
 //! are thin wrappers over these).
 
-use sentinel_core::{schedule_function, SchedOptions, SchedulingModel};
+use sentinel_bench::runner::apply_memory;
+use sentinel_core::SchedulingModel;
 use sentinel_isa::{MachineDesc, Reg};
 use sentinel_prog::profile::Profile;
 use sentinel_serve::api::MAX_WIDTH;
 use sentinel_sim::{
-    Engine, PcHistoryQueue, RunOutcome, SimConfig, SimError, SimSession, SimSessionBuilder, Stats,
+    Engine, PcHistoryQueue, RunOutcome, SimConfig, SimError, SimSessionBuilder, Stats,
 };
-use sentinel_spec::{semantics_for, JobSpec, ProgramRef, SpecKind};
+use sentinel_spec::{model_str, JobSpec, Prepared, ProgramRef, SpecKind};
 use sentinel_trace::CollectSink;
 use sentinel_workloads::{fuzz_spec, generate, Workload, MAX_TRAP_FRAC};
 
@@ -50,7 +51,7 @@ impl FuzzCase {
         format!(
             "sentinel fuzz --seed {} --count 1 --model {} --width {} --alias {} --traps {}",
             self.seed,
-            self.model.tag(),
+            model_str(self.model),
             self.width,
             self.alias_frac,
             self.trap_frac
@@ -128,17 +129,6 @@ impl FuzzCase {
     }
 }
 
-/// Parses a paper model tag (`R`, `G`, `S`, `T`, case-insensitive).
-pub fn parse_model(tag: &str) -> Option<SchedulingModel> {
-    match tag.to_ascii_uppercase().as_str() {
-        "R" => Some(SchedulingModel::RestrictedPercolation),
-        "G" => Some(SchedulingModel::GeneralPercolation),
-        "S" => Some(SchedulingModel::Sentinel),
-        "T" => Some(SchedulingModel::SentinelStores),
-        _ => None,
-    }
-}
-
 /// Everything both machines expose after a run.
 #[derive(Debug, PartialEq)]
 struct Observation {
@@ -152,12 +142,7 @@ struct Observation {
 
 fn observe(session: SimSessionBuilder<'_>, mdes: &MachineDesc, w: &Workload) -> Observation {
     let mut m = session.build();
-    for &(s, l) in &w.mem_regions {
-        m.memory_mut().map_region(s, l);
-    }
-    for &(a, v) in &w.mem_words {
-        m.memory_mut().write_word(a, v).unwrap();
-    }
+    apply_memory(w, m.memory_mut());
     let outcome = m.run();
     let mut regs = Vec::new();
     for i in 0..mdes.int_regs() {
@@ -225,37 +210,34 @@ fn describe_divergence(a: &str, lhs: &Observation, b: &str, rhs: &Observation) -
 pub fn run_case(case: &FuzzCase) -> Result<(), String> {
     case.validate()
         .map_err(|e| format!("invalid case: {e}\n  repro: {}", case.repro_command()))?;
-    let spec = fuzz_spec(case.seed, case.alias_frac, case.trap_frac);
-    let w = generate(&spec);
-    let mdes = MachineDesc::paper_issue(case.width);
-    let sched = schedule_function(&w.func, &mdes, &SchedOptions::new(case.model)).map_err(|e| {
+    let w = generate(&fuzz_spec(case.seed, case.alias_frac, case.trap_frac));
+    let job = case.spec();
+    let mdes = job.mdes();
+    let prepared = Prepared::compile(&w.func, &mdes, job.sched_options()).map_err(|e| {
         format!(
             "schedule failed: {e}\n{}\n  repro: {}",
             case.spec_lines(),
             case.repro_command()
         )
     })?;
-    let mut cfg = SimConfig::for_mdes(mdes.clone());
-    cfg.semantics = semantics_for(case.model);
-    let session = || SimSession::for_function(&sched.func);
+    let cfg = job.sim_config();
     let traced = SimConfig {
         collect_trace: true,
         ..cfg.clone()
     };
     let interp = observe(
-        session()
-            .config(traced)
-            .engine(Engine::Interpreter)
+        prepared
+            .session(traced, Engine::Interpreter)
             .sink(Box::new(CollectSink::default())),
         &mdes,
         &w,
     );
-    let turbo = observe(session().config(cfg).engine(Engine::Turbo), &mdes, &w);
+    let turbo = observe(prepared.session(cfg, Engine::Turbo), &mdes, &w);
     if interp != turbo {
         return Err(format!(
             "engines diverged (interpreter vs turbo; seed {}, model {}, width {})\n  first divergence: {}\n{}\n  repro: {}",
             case.seed,
-            case.model.tag(),
+            model_str(case.model),
             case.width,
             describe_divergence("interpreter", &interp, "turbo", &turbo),
             case.spec_lines(),
@@ -336,13 +318,14 @@ pub fn run_batch_detail(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sentinel_spec::parse_model_name;
 
     #[test]
     fn model_tags_roundtrip() {
         for m in SchedulingModel::all() {
-            assert_eq!(parse_model(m.tag()), Some(m));
+            assert_eq!(parse_model_name(m.tag()), Ok(m));
         }
-        assert_eq!(parse_model("x"), None);
+        assert!(parse_model_name("x").is_err());
     }
 
     #[test]
@@ -372,6 +355,36 @@ mod tests {
         ] {
             assert!(r.contains(needle), "{r} missing {needle}");
         }
+    }
+
+    #[test]
+    fn boosting_repro_line_round_trips() {
+        let case = FuzzCase {
+            seed: 7,
+            model: SchedulingModel::Boosting(2),
+            width: 4,
+            alias_frac: 0.3,
+            trap_frac: 0.2,
+        };
+        let line = case.repro_command();
+        let args: Vec<&str> = line
+            .strip_prefix("sentinel fuzz ")
+            .unwrap()
+            .split(' ')
+            .collect();
+        let flag = |name: &str| {
+            let i = args.iter().position(|a| *a == name).unwrap();
+            args[i + 1]
+        };
+        let parsed = FuzzCase {
+            seed: flag("--seed").parse().unwrap(),
+            model: parse_model_name(flag("--model")).unwrap(),
+            width: flag("--width").parse().unwrap(),
+            alias_frac: flag("--alias").parse().unwrap(),
+            trap_frac: flag("--traps").parse().unwrap(),
+        };
+        assert_eq!(parsed, case, "{line}");
+        assert_eq!(flag("--count"), "1");
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //!   HTTP/1.1, worker pool with backpressure, content-hash result
 //!   cache, Prometheus `/metrics`); `sentinel serve` is its CLI.
 //! * [`spec`] — the canonical [`JobSpec`](spec::JobSpec) job
-//!   description, its stable content hash, and the shared
-//!   content-addressed [`Store`](spec::Store) every layer caches in.
+//!   description, its stable content hash, the shared
+//!   content-addressed [`Store`](spec::Store) every layer caches in, and
+//!   the job pipeline every layer compiles and runs jobs through
+//!   ([`Prepared`](spec::Prepared)).
 //!
 //! # Quickstart
 //!

@@ -9,6 +9,7 @@
 //! history. Traced sessions run on the interpreter whatever their label;
 //! a second test pins that routing rule.
 
+use sentinel::bench::runner::apply_memory;
 use sentinel::sched::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel::sim::{Engine, PcHistoryQueue, RunOutcome, SimConfig, SimSession, Stats};
 use sentinel::spec::semantics_for;
@@ -18,15 +19,6 @@ use sentinel_prog::profile::Profile;
 use sentinel_prog::Function;
 use sentinel_workloads::suite::suite_with_iterations;
 use sentinel_workloads::Workload;
-
-fn apply_memory(w: &Workload, mem: &mut sentinel::sim::Memory) {
-    for &(s, l) in &w.mem_regions {
-        mem.map_region(s, l);
-    }
-    for &(a, v) in &w.mem_words {
-        mem.write_word(a, v).unwrap();
-    }
-}
 
 /// Everything one run exposes: outcome, stats, every register (data and
 /// tag), the full memory image, the profile, and the PC history.

@@ -2,6 +2,7 @@
 //! into basic blocks, profiling, and re-forming must (a) preserve
 //! semantics and (b) recover the superblock schedule quality.
 
+use sentinel::bench::runner::apply_memory;
 use sentinel::prog::superblock::{form_superblocks, split_at_branches, SuperblockConfig};
 use sentinel::sched::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel::sim::reference::{RefOutcome, Reference};
@@ -10,15 +11,6 @@ use sentinel_isa::MachineDesc;
 use sentinel_prog::validate;
 use sentinel_workloads::suite::specs;
 use sentinel_workloads::{generate, Workload};
-
-fn apply_memory(w: &Workload, mem: &mut sentinel::sim::Memory) {
-    for &(s, l) in &w.mem_regions {
-        mem.map_region(s, l);
-    }
-    for &(a, v) in &w.mem_words {
-        mem.write_word(a, v).unwrap();
-    }
-}
 
 fn cycles_of(w: &Workload) -> u64 {
     let mdes = MachineDesc::paper_issue(8);

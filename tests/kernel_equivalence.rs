@@ -3,6 +3,7 @@
 //! and the expected final values are checked against ground truth
 //! computed in Rust.
 
+use sentinel::bench::runner::apply_memory;
 use sentinel::sched::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel::sim::reference::{RefOutcome, Reference};
 use sentinel::sim::verify::{compare_runs, CompareSpec};
@@ -10,15 +11,6 @@ use sentinel::sim::{RunOutcome, SimConfig, SimSession, SpeculationSemantics};
 use sentinel_isa::{MachineDesc, Reg};
 use sentinel_workloads::kernels;
 use sentinel_workloads::Workload;
-
-fn apply_memory(w: &Workload, mem: &mut sentinel::sim::Memory) {
-    for &(s, l) in &w.mem_regions {
-        mem.map_region(s, l);
-    }
-    for &(a, v) in &w.mem_words {
-        mem.write_word(a, v).unwrap();
-    }
-}
 
 fn models() -> Vec<SchedulingModel> {
     vec![

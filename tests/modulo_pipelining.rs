@@ -2,6 +2,7 @@
 //! compute — for every trip count, including the guard's short-trip
 //! fallback — and must be faster once scheduled.
 
+use sentinel::bench::runner::apply_memory;
 use sentinel::sched::modulo::{pipeline_all_loops, pipeline_loop};
 use sentinel::sched::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel::sim::reference::{RefOutcome, Reference};
@@ -10,15 +11,6 @@ use sentinel_isa::{MachineDesc, Reg};
 use sentinel_prog::validate;
 use sentinel_workloads::kernels;
 use sentinel_workloads::Workload;
-
-fn apply_memory(w: &Workload, mem: &mut sentinel::sim::Memory) {
-    for &(s, l) in &w.mem_regions {
-        mem.map_region(s, l);
-    }
-    for &(a, v) in &w.mem_words {
-        mem.write_word(a, v).unwrap();
-    }
-}
 
 fn reference_snapshot(w: &Workload) -> (Vec<(u64, u8)>, u64) {
     let mut r = Reference::new(&w.func);

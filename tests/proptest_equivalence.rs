@@ -7,21 +7,13 @@
 //! over the in-tree deterministic RNG drives its parameters so the
 //! workspace builds offline.
 
+use sentinel::bench::runner::apply_memory;
 use sentinel::sched::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel::sim::reference::{RefOutcome, Reference};
 use sentinel::sim::verify::{compare_runs, CompareSpec};
 use sentinel::sim::{RunOutcome, SimConfig, SimSession, SpeculationSemantics};
 use sentinel_isa::MachineDesc;
-use sentinel_workloads::{generate, BenchClass, Rng, Workload, WorkloadSpec};
-
-fn apply_memory(w: &Workload, mem: &mut sentinel::sim::Memory) {
-    for &(s, l) in &w.mem_regions {
-        mem.map_region(s, l);
-    }
-    for &(a, v) in &w.mem_words {
-        mem.write_word(a, v).unwrap();
-    }
-}
+use sentinel_workloads::{generate, BenchClass, Rng, WorkloadSpec};
 
 fn arb_spec(r: &mut Rng) -> WorkloadSpec {
     WorkloadSpec {

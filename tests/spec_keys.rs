@@ -13,17 +13,18 @@
 //! 2. **Serve ≡ bench** — a serve `/v1/simulate` request and the bench
 //!    grid cell for the same job derive byte-identical canonical keys,
 //!    so a measurement cached by one layer is addressable from the
-//!    other.
+//!    other, and measure the same cycles, instructions and schedule.
 //! 3. **Golden bodies** — `/v1/simulate` response bodies for one job
 //!    under every engine label (and none) must match
 //!    `tests/golden/simulate_bodies.txt` byte for byte, so swapping the
 //!    machine behind a label cannot change what clients receive.
 
-use sentinel::bench::grid::Cell;
+use sentinel::bench::grid::{Cell, GridSession};
 use sentinel::serve::api::{ApiRequest, JobKind};
 use sentinel::sim::cache::CacheConfig;
 use sentinel::sim::Engine;
 use sentinel::spec::{JobSpec, ProgramRef};
+use sentinel::trace::json::{self, Value};
 use sentinel_core::SchedulingModel;
 
 /// A fixed inline program for source-keyed specs. Never reformat this
@@ -137,6 +138,60 @@ fn serve_and_bench_derive_identical_simulate_keys() {
     let mut cell = Cell::paper("grep", SchedulingModel::SentinelStores, 8);
     cell.recovery = true;
     assert_eq!(req.cache_key(), cell.spec(Engine::Interpreter).canonical());
+}
+
+#[test]
+fn serve_and_grid_measure_the_same_job() {
+    let workloads = sentinel::workloads::suite::shared();
+    let grid = GridSession::new(workloads.clone(), 1);
+    let mut grep = Cell::paper("grep", SchedulingModel::SentinelStores, 8);
+    grep.recovery = true;
+    for (request, cell) in [
+        (
+            r#"{"suite":"wc","model":"S","width":4}"#,
+            Cell::paper("wc", SchedulingModel::Sentinel, 4),
+        ),
+        (
+            r#"{"suite":"grep","model":"T","width":8,"recovery":true}"#,
+            grep,
+        ),
+        (
+            r#"{"suite":"cmp","model":"B2","width":2}"#,
+            Cell::paper("cmp", SchedulingModel::Boosting(2), 2),
+        ),
+    ] {
+        let body = ApiRequest::from_json(JobKind::Simulate, request)
+            .unwrap()
+            .run(&workloads)
+            .unwrap();
+        let v = json::parse(&body).unwrap();
+        let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64).unwrap();
+        let m = grid.measurement(cell);
+        assert_eq!(num(&v, "cycles"), m.cycles, "{request}");
+        assert_eq!(num(&v, "dyn_insns"), m.stats.dyn_insns, "{request}");
+        let sched = v.get("sched").unwrap();
+        let served = [
+            "blocks",
+            "speculated",
+            "checks",
+            "confirms",
+            "pinned_stores",
+            "renames",
+            "clear_tags",
+        ]
+        .map(|key| num(sched, key) as usize);
+        let s = m.sched;
+        let measured = [
+            s.blocks,
+            s.speculated,
+            s.checks_inserted,
+            s.confirms_inserted,
+            s.pinned_stores,
+            s.renames,
+            s.clear_tags,
+        ];
+        assert_eq!(served, measured, "{request}");
+    }
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! the same architectural outcome as the sequential reference — the core
 //! soundness property of the whole reproduction.
 
+use sentinel::bench::runner::apply_memory;
 use sentinel::sched::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel::sim::reference::{RefOutcome, Reference};
 use sentinel::sim::verify::{compare_runs, CompareSpec};
@@ -9,15 +10,6 @@ use sentinel::sim::{RunOutcome, SimConfig, SimSession, SpeculationSemantics};
 use sentinel_isa::MachineDesc;
 use sentinel_workloads::suite::suite_with_iterations;
 use sentinel_workloads::Workload;
-
-fn apply_memory(w: &Workload, mem: &mut sentinel::sim::Memory) {
-    for &(s, l) in &w.mem_regions {
-        mem.map_region(s, l);
-    }
-    for &(a, v) in &w.mem_words {
-        mem.write_word(a, v).unwrap();
-    }
-}
 
 fn check(w: &Workload, model: SchedulingModel, width: usize, recovery: bool) {
     check_opts(w, model, width, recovery, false)
