@@ -582,7 +582,9 @@ fn pairs_json(pairs: &[(u64, u64)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("[{a},{b}]"));
+        // Two's complement, as `pairs_from` reads it back: JSON
+        // integers above `i64::MAX` would parse as floats.
+        out.push_str(&format!("[{},{}]", *a as i64, *b as i64));
     }
     out.push(']');
     out
@@ -1067,6 +1069,13 @@ done:
                 json_str(LOOP)
             ))
             .unwrap(),
+            // Values with the high bit set: an all-ones word, and a
+            // region at the top of the address space.
+            simulate_req(&format!(
+                r#"{{"source":{},"map":[[4096,64],[-128,64]],"word":[[4104,-1]]}}"#,
+                json_str(LOOP)
+            ))
+            .unwrap(),
         ] {
             let wire = req.to_json();
             let back = ApiRequest::from_json(req.kind(), &wire).unwrap();
@@ -1240,6 +1249,44 @@ done:
             .unwrap()
             .run(&[])
             .unwrap();
+    }
+
+    #[test]
+    fn a_bad_memory_region_is_a_400_not_a_panic() {
+        use crate::cache::ResponseCache;
+        use crate::http::Request;
+        use crate::server::Handler;
+        use sentinel_trace::serve::PANICS;
+        use sentinel_trace::SharedMetrics;
+
+        let metrics = SharedMetrics::new();
+        let handler = Handler::new(
+            metrics.clone(),
+            Arc::new(ResponseCache::new(8, metrics.clone())),
+            Arc::new(Vec::new()),
+            DEFAULT_MAX_BATCH_JOBS,
+            None,
+        );
+        for (map, named) in [
+            ("[[0,0]]", "map region 0x0:0x0 is empty"),
+            (
+                "[[-64,64]]",
+                "map region 0xffffffffffffffc0:0x40 wraps the address space",
+            ),
+        ] {
+            let body = format!(r#"{{"source":{},"map":{map}}}"#, json_str(LOOP));
+            let resp = handler.route(&Request {
+                method: "POST".into(),
+                path: "/v1/simulate".into(),
+                http11: true,
+                headers: Vec::new(),
+                body: body.into_bytes(),
+            });
+            let text = String::from_utf8(resp.body).unwrap();
+            assert_eq!(resp.status, 400, "{map}: {text}");
+            assert!(text.contains(named), "{map}: {text}");
+        }
+        assert_eq!(metrics.snapshot().counter(PANICS), 0);
     }
 
     #[test]

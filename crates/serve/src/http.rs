@@ -1,6 +1,7 @@
 //! A minimal HTTP/1.1 layer over `std::net` — just enough protocol for
 //! the compile-and-simulate service: request line + headers +
-//! `Content-Length` bodies, explicit size limits, and HTTP/1.1
+//! `Content-Length` bodies (a `Transfer-Encoding` is a `501`, and
+//! conflicting lengths a `400`), explicit size limits, and HTTP/1.1
 //! **keep-alive** semantics. A connection serves a sequence of
 //! requests through one caller-owned [`BufRead`] (so pipelined bytes
 //! buffered past one request survive into the next read), and the
@@ -151,6 +152,7 @@ fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -238,21 +240,41 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Reques
         headers,
         body: Vec::new(),
     };
-    let body_len = match req.header("content-length") {
-        None => 0,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                return Err(ReadError::Bad(Response::bad_request("bad Content-Length")));
-            }
-        },
-    };
+    let body_len = body_length(&req.headers)?;
     if body_len > max_body {
         return Err(ReadError::Bad(Response::too_large(max_body)));
     }
     let mut body = vec![0u8; body_len];
     io::Read::read_exact(reader, &mut body)?;
     Ok(Request { body, ..req })
+}
+
+/// The body length the head declares (RFC 9112 §6.3): `0` without a
+/// `Content-Length`. Any `Transfer-Encoding` is a `501` (this server
+/// reads no chunked bodies), and a `Content-Length` that is not all
+/// digits, or that disagrees with another, is a `400`. Either way the
+/// body's extent is unknown, so the caller must close after answering.
+fn body_length(headers: &[(String, String)]) -> Result<usize, ReadError> {
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(ReadError::Bad(Response::json(
+            501,
+            error_body("Transfer-Encoding is not supported; send Content-Length"),
+        )));
+    }
+    let mut len = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(ReadError::Bad(Response::bad_request("bad Content-Length"))),
+        };
+        if len.is_some_and(|prev| prev != n) {
+            return Err(ReadError::Bad(Response::bad_request(
+                "conflicting Content-Length headers",
+            )));
+        }
+        len = Some(n);
+    }
+    Ok(len.unwrap_or(0))
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line, charging its bytes
@@ -280,9 +302,9 @@ fn read_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String
         .map_err(|_| ReadError::Bad(Response::bad_request("non-UTF-8 request head")))
 }
 
-/// Serializes `resp` onto `stream`, advertising whether the server
-/// will keep the connection open (`Connection: keep-alive`) or drop it
-/// (`Connection: close`) afterwards.
+/// Serializes `resp` onto `stream` in one write, advertising whether
+/// the server will keep the connection open (`Connection: keep-alive`)
+/// or drop it (`Connection: close`) afterwards.
 ///
 /// # Errors
 ///
@@ -290,22 +312,21 @@ fn read_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String
 /// connection regardless of `close`.
 pub fn write_response(stream: &mut impl Write, resp: &Response, close: bool) -> io::Result<()> {
     let connection = if close { "close" } else { "keep-alive" };
-    let mut head = format!(
+    let mut out = Vec::with_capacity(128 + resp.body.len());
+    write!(
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len()
-    );
+    )?;
     for (name, value) in &resp.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write!(out, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(&resp.body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -331,6 +352,10 @@ mod tests {
     fn parses_post_with_content_length() {
         let req = read("POST /v1/compile HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"").unwrap();
         assert_eq!(req.body_str(), Some("{\"a\""));
+        // Repeats that agree name one length.
+        let req =
+            read("POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi").unwrap();
+        assert_eq!(req.body_str(), Some("hi"));
     }
 
     #[test]
@@ -379,9 +404,38 @@ mod tests {
             "GET / SPDY/3\r\n\r\n",
             "GET / HTTP/1.1\r\nno-colon-here\r\n\r\n",
             "POST / HTTP/1.1\r\nContent-Length: wat\r\n\r\n",
+            // Only digits: a sign is not part of the grammar.
+            "POST / HTTP/1.1\r\nContent-Length: +2\r\n\r\nhi",
+            "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nhey",
         ] {
             match read(raw) {
                 Err(ReadError::Bad(resp)) => assert_eq!(resp.status, 400, "{raw:?}"),
+                other => panic!("{raw:?}: expected Bad, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn any_transfer_encoding_is_a_501() {
+        // Chunked alone, and chunked beside a Content-Length (which the
+        // Transfer-Encoding would override): either way the body's
+        // extent is unknown to this reader.
+        for raw in [
+            "POST /v1/simulate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+            "POST / HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n{}",
+            "GET / HTTP/1.1\r\nTransfer-Encoding: identity\r\n\r\n",
+        ] {
+            match read(raw) {
+                Err(ReadError::Bad(resp)) => {
+                    assert_eq!(resp.status, 501, "{raw:?}");
+                    let mut out = Vec::new();
+                    write_response(&mut out, &resp, true).unwrap();
+                    let text = String::from_utf8(out).unwrap();
+                    assert!(
+                        text.starts_with("HTTP/1.1 501 Not Implemented\r\n"),
+                        "{text}"
+                    );
+                }
                 other => panic!("{raw:?}: expected Bad, got {other:?}"),
             }
         }
@@ -438,6 +492,27 @@ mod tests {
         write_response(&mut out, &Response::json(200, "{}".into()), false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        /// Records the length of every `write` call.
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let resp = Response::busy(1);
+        let mut writes = Writes(Vec::new());
+        write_response(&mut writes, &resp, true).unwrap();
+        let mut bytes = Vec::new();
+        write_response(&mut bytes, &resp, true).unwrap();
+        assert_eq!(writes.0, vec![bytes.len()]);
     }
 
     #[test]

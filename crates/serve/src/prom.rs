@@ -92,28 +92,36 @@ mod tests {
         let mut m = Metrics::new();
         m.count("serve.http.requests", 2);
         m.count("grid.cells.hit", 1);
-        m.observe("serve.request.micros", 3);
-        m.observe("serve.request.micros", 100);
+        for v in [3, 100, 40_000, 2_000_000] {
+            m.observe("serve.request.micros", v);
+        }
         let text = render(&m);
         let grid = text.find("grid_cells_hit 1").unwrap();
         let req = text.find("serve_http_requests 2").unwrap();
         let hist = text.find("# TYPE serve_request_micros histogram").unwrap();
         assert!(grid < req && req < hist, "{text}");
-        // 3 → bucket <4 (le 3); 100 → bucket <128 (le 127); both cumulative.
-        assert!(
-            text.contains("serve_request_micros_bucket{le=\"3\"} 1\n"),
+        // 3 → bucket <4 (le 3); 100 → <128; 40,000 → <2^16; 2,000,000
+        // → <2^21: each a finite bucket, cumulative, none in overflow.
+        let buckets: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("serve_request_micros_bucket"))
+            .collect();
+        assert_eq!(
+            buckets,
+            [
+                "serve_request_micros_bucket{le=\"3\"} 1",
+                "serve_request_micros_bucket{le=\"127\"} 2",
+                "serve_request_micros_bucket{le=\"65535\"} 3",
+                "serve_request_micros_bucket{le=\"2097151\"} 4",
+                "serve_request_micros_bucket{le=\"+Inf\"} 4",
+            ],
             "{text}"
         );
         assert!(
-            text.contains("serve_request_micros_bucket{le=\"127\"} 2\n"),
+            text.contains("serve_request_micros_sum 2040103\n"),
             "{text}"
         );
-        assert!(
-            text.contains("serve_request_micros_bucket{le=\"+Inf\"} 2\n"),
-            "{text}"
-        );
-        assert!(text.contains("serve_request_micros_sum 103\n"), "{text}");
-        assert!(text.contains("serve_request_micros_count 2\n"), "{text}");
+        assert!(text.contains("serve_request_micros_count 4\n"), "{text}");
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! keep-alive a worker **owns the connection** for its whole lifetime:
 //! it loops read → dispatch → write until the client asks to close,
 //! the idle timeout expires between requests, or the per-connection
-//! request bound is reached. The acceptor owns admission control
-//! (counting connections, bouncing to `429` when the worker pool's
-//! queue is full); workers own everything else (parse, route, compute
-//! or hit the cache, respond). Shutdown stops intake first, then
-//! drains the queue, so every admitted connection finishes its
-//! in-flight request.
+//! request bound is reached. The acceptor blocks in `accept` and owns
+//! admission control (counting connections, bouncing to `429` when the
+//! worker pool's queue is full); workers own everything else (parse,
+//! route, compute or hit the cache, respond). Shutdown stops intake
+//! first — a connection of the server's own wakes the blocked acceptor,
+//! which drops it uncounted — then drains the queue, so every admitted
+//! connection finishes its in-flight request.
 //!
 //! `POST /v1/batch` fans its jobs out across the same pool: idle
 //! workers pick jobs up as best-effort tasks while the worker that
@@ -18,7 +19,7 @@
 //! worker, never to a deadlock.
 
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -351,7 +352,6 @@ pub struct ServerHandle {
 /// Propagates bind failures and an uncreatable `cache_dir`.
 pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let metrics = SharedMetrics::new();
@@ -418,6 +418,10 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
     })
 }
 
+/// Pause after a failed `accept` (out of descriptors, say) before the
+/// next try, so a persistent error does not spin the acceptor.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
 fn accept_loop(
     listener: &TcpListener,
     stop: &AtomicBool,
@@ -427,17 +431,19 @@ fn accept_loop(
     write_timeout: Duration,
 ) {
     while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+        let accepted = listener.accept();
+        // Shutdown wakes the blocked `accept` with a connection of its
+        // own; that one is neither counted nor served.
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 metrics.count(CONNECTIONS, 1);
-                // Workers use blocking reads with deadlines; the
-                // nonblocking flag is only for the accept loop. The
-                // read deadline doubles as the keep-alive idle bound.
-                // Nagle off: head and body go out as separate writes,
-                // and on a kept-alive socket the coalescing delay
-                // would stack with the peer's delayed ACK (~40 ms per
-                // exchange).
-                let _ = stream.set_nonblocking(false);
+                // The read deadline doubles as the keep-alive idle
+                // bound. Nagle off: a response longer than one segment
+                // would otherwise hold its tail back until the peer's
+                // delayed ACK (~40 ms per exchange).
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(idle_timeout));
                 let _ = stream.set_write_timeout(Some(write_timeout));
@@ -447,10 +453,7 @@ fn accept_loop(
                     let _ = http::write_response(&mut bounced, &Response::busy(1), true);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -466,18 +469,15 @@ fn serve_connection(
     max_body: usize,
     max_requests: usize,
 ) {
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(&stream);
     for served in 0..max_requests {
         let req = match http::read_request(&mut reader, max_body) {
             Ok(req) => req,
             Err(ReadError::Bad(resp)) => {
                 // Protocol errors poison the stream (unread body
                 // bytes); answer and close.
-                metrics.count(RESPONSES_CLIENT_ERROR, 1);
-                let _ = http::write_response(&mut writer, &resp, true);
+                count_status(metrics, resp.status);
+                let _ = http::write_response(&mut &stream, &resp, true);
                 return;
             }
             // Clean end of session, peer vanished, or idle timeout:
@@ -501,18 +501,39 @@ fn serve_connection(
                 Response::internal("request handler panicked")
             }
         };
-        match resp.status {
-            200..=299 => metrics.count(RESPONSES_OK, 1),
-            400..=499 => metrics.count(RESPONSES_CLIENT_ERROR, 1),
-            _ => metrics.count(RESPONSES_SERVER_ERROR, 1),
-        }
+        count_status(metrics, resp.status);
         let close = !req.persistent() || served + 1 >= max_requests;
-        let write_ok = http::write_response(&mut writer, &resp, close).is_ok();
+        let write_ok = http::write_response(&mut &stream, &resp, close).is_ok();
         metrics.observe(REQUEST_MICROS, started.elapsed().as_micros() as u64);
         if !write_ok || close {
             return;
         }
     }
+}
+
+fn count_status(metrics: &SharedMetrics, status: u16) {
+    match status {
+        200..=299 => metrics.count(RESPONSES_OK, 1),
+        400..=499 => metrics.count(RESPONSES_CLIENT_ERROR, 1),
+        _ => metrics.count(RESPONSES_SERVER_ERROR, 1),
+    }
+}
+
+/// How long one wake-up connect may take, and the pause before the
+/// next one if it fails.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
+const WAKE_RETRY: Duration = Duration::from_millis(1);
+
+/// Where shutdown connects to wake the acceptor: the bound address,
+/// with an unspecified IP (`0.0.0.0`, `::`) replaced by the loopback
+/// address of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 impl ServerHandle {
@@ -529,26 +550,38 @@ impl ServerHandle {
     /// Stops accepting, drains every queued connection, joins all
     /// threads, and returns the final metrics snapshot.
     pub fn shutdown(mut self) -> Metrics {
+        self.stop_and_drain();
+        self.metrics.snapshot()
+    }
+
+    /// The one stop path of `shutdown` and `drop`: set `stop`, wake and
+    /// join the acceptor, then drain the pool.
+    fn stop_and_drain(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            // Once a wake-up connect succeeds, the connection sits in
+            // the listener's queue, so the blocked `accept` returns and
+            // the acceptor sees `stop`. A connect can fail (a full
+            // backlog, no free local port): retry until the acceptor
+            // has finished.
+            let wake = wake_addr(self.addr);
+            while !acceptor.is_finished() {
+                if TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok() {
+                    break;
+                }
+                std::thread::sleep(WAKE_RETRY);
+            }
+            let _ = acceptor.join();
         }
         if let Some(pool) = self.pool.take() {
             pool.shutdown();
         }
-        self.metrics.snapshot()
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
-        }
+        self.stop_and_drain();
     }
 }
 
@@ -587,8 +620,89 @@ mod tests {
         );
         drop(client);
         let final_metrics = handle.shutdown();
-        assert!(final_metrics.counter(CONNECTIONS) >= 2);
+        // Two client connections; shutdown's wake-up is not counted.
+        assert_eq!(final_metrics.counter(CONNECTIONS), 2);
         assert_eq!(final_metrics.counter(RESPONSES_OK), 2);
+    }
+
+    /// Runs `stop` on a thread of its own and fails unless it returns
+    /// within 2 s: a missed wake-up leaves it blocked joining the
+    /// acceptor.
+    fn assert_returns_promptly(what: &str, stop: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            stop();
+            let _ = done.send(());
+        });
+        let waited = finished.recv_timeout(Duration::from_secs(2));
+        assert!(
+            !matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "{what} did not return within 2 s"
+        );
+        stopper.join().expect("the stop path does not panic");
+    }
+
+    #[test]
+    fn shutdown_and_drop_return_promptly_and_count_only_clients() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            for clients in [0, 3] {
+                for via_drop in [false, true] {
+                    let cfg = ServerConfig {
+                        addr: bind.to_string(),
+                        ..test_config()
+                    };
+                    let handle = start(cfg).unwrap();
+                    let addr = wake_addr(handle.addr()).to_string();
+                    for _ in 0..clients {
+                        assert_eq!(one_shot(&addr).get("/healthz").unwrap().status, 200);
+                    }
+                    let metrics = handle.metrics();
+                    let how = if via_drop { "drop" } else { "shutdown()" };
+                    let what = format!("{how} on {bind} after {clients} connections");
+                    if via_drop {
+                        assert_returns_promptly(&what, move || drop(handle));
+                    } else {
+                        assert_returns_promptly(&what, move || {
+                            handle.shutdown();
+                        });
+                    }
+                    assert_eq!(metrics.snapshot().counter(CONNECTIONS), clients, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn framing_errors_get_one_response_then_close() {
+        use std::io::{Read, Write};
+        let handle = start(test_config()).unwrap();
+        for (raw, status) in [
+            (
+                "POST /v1/simulate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                 11\r\n{\"suite\":\"wc\"}\r\n0\r\n\r\n",
+                "HTTP/1.1 501 ",
+            ),
+            (
+                "POST /v1/simulate HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 16\r\n\r\n\
+                 {\"suite\":\"wc\"}",
+                "HTTP/1.1 400 ",
+            ),
+        ] {
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream.write_all(raw.as_bytes()).unwrap();
+            // The server closes after its one answer, so this ends.
+            let mut text = String::new();
+            stream.read_to_string(&mut text).unwrap();
+            assert!(text.starts_with(status), "{text}");
+            assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+        }
+        let m = handle.shutdown();
+        assert_eq!(m.counter(REQUESTS), 0);
+        assert_eq!(m.counter(RESPONSES_SERVER_ERROR), 1);
+        assert_eq!(m.counter(RESPONSES_CLIENT_ERROR), 1);
     }
 
     #[test]

@@ -144,7 +144,8 @@ impl Prepared {
 ///
 /// # Errors
 ///
-/// A message naming the first word that does not land in mapped,
+/// A message naming the first region that is empty or wraps the
+/// address space, or the first word that does not land in mapped,
 /// aligned memory.
 pub fn apply_image(
     mem: &mut Memory,
@@ -152,6 +153,14 @@ pub fn apply_image(
     words: &[(u64, u64)],
 ) -> Result<(), String> {
     for &(start, len) in regions {
+        if len == 0 || start.checked_add(len).is_none() {
+            let why = if len == 0 {
+                "is empty"
+            } else {
+                "wraps the address space"
+            };
+            return Err(format!("map region {start:#x}:{len:#x} {why}"));
+        }
         mem.map_region(start, len);
     }
     for &(addr, bits) in words {
@@ -213,5 +222,17 @@ done:
         let mut mem = Memory::new();
         let err = apply_image(&mut mem, &[(0x1000, 8)], &[(0x2000, 1)]).unwrap_err();
         assert!(err.starts_with("word 0x2000:"), "{err}");
+    }
+
+    #[test]
+    fn an_empty_or_wrapping_region_is_named() {
+        let mut mem = Memory::new();
+        let err = apply_image(&mut mem, &[(0x1000, 8), (0x2000, 0)], &[]).unwrap_err();
+        assert_eq!(err, "map region 0x2000:0x0 is empty");
+        let err = apply_image(&mut mem, &[(-64i64 as u64, 64)], &[]).unwrap_err();
+        assert_eq!(
+            err,
+            "map region 0xffffffffffffffc0:0x40 wraps the address space"
+        );
     }
 }

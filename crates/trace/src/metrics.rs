@@ -11,7 +11,9 @@ use std::sync::{Arc, Mutex};
 
 use crate::json::ObjWriter;
 
-const BUCKETS: usize = 17; // 1, 2, 4, ..., 2^15, overflow
+/// 1, 2, 4, …, 2^26, overflow: as µs samples, finite bounds reach
+/// about 67 s, past serve's slowest compile jobs.
+const BUCKETS: usize = 28;
 
 /// Power-of-two-bucketed histogram of `u64` samples.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -236,16 +238,29 @@ mod tests {
     #[test]
     fn histogram_buckets_and_stats() {
         let mut h = Histogram::default();
-        for v in [0, 1, 1, 3, 100] {
+        for v in [0, 1, 1, 3, 100, 40_000, 2_000_000, 1 << 26, 100_000_000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 105);
-        assert_eq!(h.max(), 100);
-        assert!((h.mean() - 21.0).abs() < 1e-9);
-        // 0 → bucket 0; 1,1 → bucket 1 (<2); 3 → bucket 2 (<4); 100 → bucket 7 (<128)
+        assert_eq!(h.count(), 9);
+        assert_eq!(h.sum(), 169_148_969);
+        assert_eq!(h.max(), 100_000_000);
+        assert!((h.mean() - 169_148_969.0 / 9.0).abs() < 1e-6);
+        // 0 → bucket 0; 1,1 → bucket 1 (<2); 3 → bucket 2 (<4);
+        // 100 → <128; 40,000 → <2^16; 2,000,000 → <2^21; 2^26 and
+        // 100,000,000 → overflow.
         let got: Vec<(u64, u64)> = h.nonempty_buckets().collect();
-        assert_eq!(got, vec![(1, 1), (2, 2), (4, 1), (128, 1)]);
+        assert_eq!(
+            got,
+            vec![
+                (1, 1),
+                (2, 2),
+                (4, 1),
+                (128, 1),
+                (1 << 16, 1),
+                (1 << 21, 1),
+                (u64::MAX, 2)
+            ]
+        );
     }
 
     #[test]

@@ -495,21 +495,22 @@ fn cmd_pipeline(args: &Args) {
 /// Applies `--map START:LEN`, `--word ADDR=VAL`, and `--reg rN=VAL`
 /// flags to a freshly built machine.
 fn apply_machine_flags(args: &Args, m: &mut SimSession<'_>) {
-    for spec in args.all("map") {
-        let (start, len) = spec
-            .split_once(':')
-            .unwrap_or_else(|| fail(&format!("bad --map '{spec}' (want START:LEN)")));
-        m.memory_mut()
-            .map_region(parse_num(start) as u64, parse_num(len) as u64);
-    }
-    for spec in args.all("word") {
-        let (addr, val) = spec
-            .split_once('=')
-            .unwrap_or_else(|| fail(&format!("bad --word '{spec}' (want ADDR=VAL)")));
-        m.memory_mut()
-            .write_word(parse_num(addr) as u64, parse_num(val) as u64)
-            .unwrap_or_else(|e| fail(&format!("--word {spec}: {e}")));
-    }
+    let pairs = |flag: &str, sep: char, want: &str| -> Vec<(u64, u64)> {
+        args.all(flag)
+            .into_iter()
+            .map(|spec| {
+                let (a, b) = spec
+                    .split_once(sep)
+                    .unwrap_or_else(|| fail(&format!("bad --{flag} '{spec}' (want {want})")));
+                (parse_num(a) as u64, parse_num(b) as u64)
+            })
+            .collect()
+    };
+    let (regions, words) = (
+        pairs("map", ':', "START:LEN"),
+        pairs("word", '=', "ADDR=VAL"),
+    );
+    sentinel::spec::apply_image(m.memory_mut(), &regions, &words).unwrap_or_else(|e| fail(&e));
     for spec in args.all("reg") {
         let (reg, val) = spec
             .split_once('=')

@@ -152,6 +152,27 @@ fn run_reports_precise_trap() {
 }
 
 #[test]
+fn a_bad_memory_region_is_an_error_not_a_panic() {
+    let dir = tmpdir("badmap");
+    let p = write_demo(&dir);
+    for (map, named) in [
+        ("0x1000:0", "map region 0x1000:0x0 is empty"),
+        ("-64:64", "map region 0xffffffffffffffc0:0x40 wraps"),
+    ] {
+        let out = bin()
+            .args(["run", p.to_str().unwrap(), "--map", map])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--map {map}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(named),
+            "--map {map}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn asm_disasm_roundtrip() {
     let dir = tmpdir("obj");
     let p = write_demo(&dir);
@@ -456,7 +477,20 @@ fn serve_subcommand_drains_on_sigint() {
         .status()
         .unwrap();
     assert!(kill.success());
-    let status = child.wait().unwrap();
+    // A missed wake-up of the blocked acceptor would hang the drain:
+    // give it 10 s, then kill the server and fail.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("serve still running 10 s after SIGINT");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
     assert_eq!(status.code(), Some(0));
     // The drain message and final metrics snapshot land on stderr.
     let rest: Vec<String> = lines.map_while(Result::ok).collect();
