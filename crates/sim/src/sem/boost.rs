@@ -35,21 +35,58 @@ pub(crate) enum ShadowOp {
     },
 }
 
-/// One shadow-buffer entry: the effect, how many more branches must
-/// resolve before it commits, and a global sequence number preserving
-/// program order across levels.
+/// One shadow-buffer entry: the effect and how many more branches must
+/// resolve before it commits.
 #[derive(Debug, Clone)]
 pub(crate) struct ShadowEntry {
     pub(crate) level: u8,
-    pub(crate) seq: u64,
     pub(crate) op: ShadowOp,
 }
 
 /// The shadow register file and shadow store buffer of one engine.
+///
+/// `entries` is in program order by construction: [`push`] appends,
+/// [`commit`] removes the level-1 entries in place and decrements the
+/// rest, and [`squash`] empties it. `index` counts the entries per
+/// destination register and the buffered stores, so a read with no
+/// shadow write, or a load with no shadow store, never scans `entries`.
+///
+/// [`push`]: ShadowState::push
 #[derive(Debug, Default)]
 pub(crate) struct ShadowState {
     entries: Vec<ShadowEntry>,
-    seq: u64,
+    index: Presence,
+}
+
+/// What `ShadowState::entries` holds, counted: shadow register writes
+/// per register (indexed by [`slot`], growing to the highest register
+/// written) and shadow stores.
+#[derive(Debug, Default)]
+struct Presence {
+    writes: Vec<u32>,
+    stores: u32,
+}
+
+/// A register's index in `Presence::writes`: the two banks interleaved.
+fn slot(r: Reg) -> usize {
+    (r.index() as usize) << 1 | r.is_fp() as usize
+}
+
+impl Presence {
+    /// Counts `op` in (`delta` 1) or out (`delta` -1). A count below
+    /// zero would mean the index lost track of the list: that panics.
+    fn tally(&mut self, op: &ShadowOp, delta: i32) {
+        let n = match *op {
+            ShadowOp::Reg { dest, .. } => {
+                if slot(dest) >= self.writes.len() {
+                    self.writes.resize(slot(dest) + 1, 0);
+                }
+                &mut self.writes[slot(dest)]
+            }
+            ShadowOp::Store { .. } => &mut self.stores,
+        };
+        *n = n.strict_add_signed(delta);
+    }
 }
 
 impl ShadowState {
@@ -65,18 +102,17 @@ impl ShadowState {
 
     /// Appends a shadow entry for a boosted instruction.
     pub(crate) fn push(&mut self, level: u8, op: ShadowOp) {
-        self.seq += 1;
-        self.entries.push(ShadowEntry {
-            level,
-            seq: self.seq,
-            op,
-        });
+        self.index.tally(&op, 1);
+        self.entries.push(ShadowEntry { level, op });
     }
 
     /// Shadow register overlay: the newest shadow write to `r` (in
-    /// program order, across levels), if any. `r0`/`f0` never overlay.
+    /// program order, across levels), if any. `r0` never overlays.
     pub(crate) fn reg_overlay(&self, r: Reg) -> Option<u64> {
-        if self.entries.is_empty() || r.is_zero() {
+        if self.entries.is_empty()
+            || r.is_zero()
+            || self.index.writes.get(slot(r)).is_none_or(|&n| n == 0)
+        {
             return None;
         }
         self.entries.iter().rev().find_map(|e| match e.op {
@@ -87,6 +123,9 @@ impl ShadowState {
 
     /// Shadow store-buffer forwarding (exact-match, newest first).
     pub(crate) fn store_lookup(&self, addr: u64, width: Width) -> Option<u64> {
+        if self.index.stores == 0 {
+            return None;
+        }
         self.entries.iter().rev().find_map(|e| match &e.op {
             ShadowOp::Store {
                 addr: a,
@@ -116,74 +155,72 @@ pub(crate) fn commit(
     if a.shadow.entries.is_empty() {
         return Ok((None, None));
     }
-    let mut entries = std::mem::take(&mut a.shadow.entries);
-    entries.sort_by_key(|e| e.seq);
     let mut trap = None;
     let mut stall_to = None;
-    for e in entries {
+    let mut failed = Ok(());
+    let ShadowState { entries, index } = &mut *a.shadow;
+    entries.retain_mut(|e| {
         if e.level > 1 {
-            a.shadow.entries.push(ShadowEntry {
-                level: e.level - 1,
-                ..e
-            });
-            continue;
+            e.level -= 1;
+            return true;
         }
-        if trap.is_some() {
+        index.tally(&e.op, -1);
+        if trap.is_some() || failed.is_err() {
             // Abort the remainder of the commit after a signaled
             // exception (machine state up to the fault is committed).
-            continue;
+            return false;
         }
         a.stats.shadow_commits += 1;
-        match e.op {
-            ShadowOp::Reg { dest, data, except } => match except {
-                None => a.regs.write_clean(dest, data),
-                Some((pc, kind)) => {
-                    trap = Some(Trap {
-                        excepting_pc: pc,
-                        reported_by: branch,
-                        kind: Some(kind),
-                    });
-                }
-            },
+        let except = match e.op {
+            ShadowOp::Reg {
+                dest,
+                data,
+                except: None,
+            } => {
+                a.regs.write_clean(dest, data);
+                None
+            }
             ShadowOp::Store {
                 addr,
                 data,
                 width,
-                except,
-            } => match except {
-                None => {
-                    let eff = a.sb.insert(
-                        Entry {
-                            addr,
-                            data,
-                            width,
-                            state: EntryState::Confirmed { ready: issue },
-                            except_pc: None,
-                            except_kind: None,
-                            inserted_at: issue,
-                        },
-                        issue,
-                        a.mem,
-                    )?;
-                    stall_to = Some(stall_to.map_or(eff, |s: u64| s.max(eff)));
+                except: None,
+            } => {
+                let entry = Entry {
+                    addr,
+                    data,
+                    width,
+                    state: EntryState::Confirmed { ready: issue },
+                    except_pc: None,
+                    except_kind: None,
+                    inserted_at: issue,
+                };
+                match a.sb.insert(entry, issue, a.mem) {
+                    Ok(eff) => stall_to = Some(stall_to.map_or(eff, |s: u64| s.max(eff))),
+                    Err(err) => failed = Err(err),
                 }
-                Some((pc, kind)) => {
-                    trap = Some(Trap {
-                        excepting_pc: pc,
-                        reported_by: branch,
-                        kind: Some(kind),
-                    });
-                }
-            },
+                None
+            }
+            ShadowOp::Reg { except, .. } | ShadowOp::Store { except, .. } => except,
+        };
+        if let Some((pc, kind)) = except {
+            trap = Some(Trap {
+                excepting_pc: pc,
+                reported_by: branch,
+                kind: Some(kind),
+            });
         }
-    }
+        false
+    });
+    failed?;
     Ok((trap, stall_to))
 }
 
 /// A branch was "mispredicted" (taken): discard all shadow state.
 pub(crate) fn squash(a: &mut ArchState) {
-    if !a.shadow.entries.is_empty() {
-        a.stats.shadow_squashes += a.shadow.entries.len() as u64;
-        a.shadow.entries.clear();
+    let ShadowState { entries, index } = &mut *a.shadow;
+    a.stats.shadow_squashes += entries.len() as u64;
+    for e in entries.drain(..) {
+        index.tally(&e.op, -1);
     }
 }
