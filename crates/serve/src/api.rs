@@ -1002,6 +1002,9 @@ done:
             r#"{"source":"x","width":65}"#,
             r#"{"source":"x","model":"Q"}"#,
             r#"{"source":"x","model":"Bx"}"#,
+            r#"{"source":"x","model":"B+2"}"#,
+            r#"{"source":"x","model":"B02"}"#,
+            r#"{"source":"x","model":"B0"}"#,
             r#"[1,2]"#,
             r#"{"model":"S"}"#,
             r#"not json"#,

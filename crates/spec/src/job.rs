@@ -194,10 +194,15 @@ pub fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
     }
 }
 
+/// The boosting spellings [`parse_model`] accepts, as its errors name them.
+const BOOSTING_FORM: &str = "B<k>, k a decimal in 1..=255 with no sign or leading zero";
+
 /// Parse the canonical model spelling produced by [`model_str`].
 ///
-/// Deliberately strict — this is the *encoding* parser. The long names
-/// users may type ("restricted") are [`parse_model_name`]'s.
+/// Deliberately strict — this is the *encoding* parser: it accepts
+/// exactly what [`model_str`] writes, so one model has one spelling,
+/// one label and one cache key. The long names users may type
+/// ("restricted") are [`parse_model_name`]'s.
 pub fn parse_model(s: &str) -> Result<SchedulingModel, SpecError> {
     match s {
         "R" => Ok(SchedulingModel::RestrictedPercolation),
@@ -205,13 +210,17 @@ pub fn parse_model(s: &str) -> Result<SchedulingModel, SpecError> {
         "S" => Ok(SchedulingModel::Sentinel),
         "T" => Ok(SchedulingModel::SentinelStores),
         other => {
+            // A leading 1-9 rules out a sign, a leading zero and B0;
+            // `u8` parsing then rules out anything but digits up to 255.
             if let Some(k) = other.strip_prefix('B') {
-                if let Ok(k) = k.parse::<u8>() {
-                    return Ok(SchedulingModel::Boosting(k));
+                if k.starts_with(|c: char| matches!(c, '1'..='9')) {
+                    if let Ok(k) = k.parse::<u8>() {
+                        return Ok(SchedulingModel::Boosting(k));
+                    }
                 }
             }
             Err(SpecError::new(format!(
-                "unknown model '{other}' (want R|G|S|T|B<k>)"
+                "unknown model '{other}' (want R|G|S|T|{BOOSTING_FORM})"
             )))
         }
     }
@@ -229,8 +238,11 @@ pub fn parse_model_name(s: &str) -> Result<SchedulingModel, SpecError> {
         "stores" => "T",
         other => other,
     };
-    parse_model(tag)
-        .map_err(|_| SpecError::new(format!("unknown model '{s}' (R, G, S, T, or B<k>)")))
+    parse_model(tag).map_err(|_| {
+        SpecError::new(format!(
+            "unknown model '{s}' (R, G, S, T, or {BOOSTING_FORM})"
+        ))
+    })
 }
 
 /// Digest of a `(u64, u64)` pair list (memory regions or initial
@@ -722,6 +734,33 @@ mod tests {
         for bad in ["s", "b2", "Bx", "boost"] {
             let err = parse_model_name(bad).unwrap_err().to_string();
             assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
+        // `parse_model` accepts exactly what `model_str` writes: for a
+        // boosting depth, `B` and a decimal in 1..=255 with no sign or
+        // leading zero. Anything else is an error naming that form.
+        for k in 0..1000u32 {
+            let canonical = format!("B{k}");
+            for s in [
+                canonical.clone(),
+                format!("B0{k}"),
+                format!("B+{k}"),
+                format!("B-{k}"),
+                format!("B {k}"),
+                format!("{canonical} "),
+            ] {
+                let want = s == canonical && (1..=255).contains(&k);
+                match parse_model(&s) {
+                    Ok(model) => assert!(want && model_str(model) == s, "accepted '{s}'"),
+                    Err(e) => assert!(!want && e.to_string().contains(BOOSTING_FORM), "{e}"),
+                }
+            }
+        }
+        for bad in ["B+2", "B02", "B0", "B"] {
+            let err = parse_model_name(bad).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("'{bad}'")) && err.contains(BOOSTING_FORM),
+                "{err}"
+            );
         }
     }
 

@@ -399,6 +399,27 @@ fn boosting_model_from_cli() {
 }
 
 #[test]
+fn only_canonical_boosting_depths_are_models() {
+    // `B+2` and `B02` once ran as B2, and `B0` as a boosting model that
+    // cannot speculate; each is now an error naming the accepted form.
+    for model in ["B+2", "B02", "B0"] {
+        let out = bin()
+            .args(["simulate", "--suite", "wc", "--model", model])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--model {model}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ")
+                && stderr.contains(&format!("'{model}'"))
+                && stderr.contains("1..=255"),
+            "--model {model}: {stderr}"
+        );
+        assert_fuzz_rejects(&["--model", model, "--count", "1"], "1..=255");
+    }
+}
+
+#[test]
 fn version_flag_prints_package_version() {
     for spelling in ["--version", "version"] {
         let out = bin().arg(spelling).output().unwrap();
