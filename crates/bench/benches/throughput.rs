@@ -8,6 +8,11 @@
 //! second for each. Turbo runs reuse one decoded program per workload
 //! (built outside the timed loop), matching the decode-once contract
 //! the `ProgramCache` gives the grid and serve workers in production.
+//! Each workload runs under the sentinel model (S) and under
+//! instruction boosting (B4), both at issue 8, timed in the same
+//! interleaved rounds; the S÷B4 ratio of their rates is the extra
+//! per-instruction cost of boosted code, comparable within one run
+//! even on a host whose speed drifts between runs.
 //!
 //! ```text
 //! cargo bench --bench throughput                      # full run
@@ -35,6 +40,7 @@ use sentinel_isa::MachineDesc;
 use sentinel_prog::asm;
 use sentinel_sim::reference::Reference;
 use sentinel_sim::Engine;
+use sentinel_spec::model_str;
 
 use sentinel_workloads::{suite, Workload};
 
@@ -83,9 +89,14 @@ fn bench_scheduler() {
     }
 }
 
-/// Schedules `w` for the paper's sentinel model at issue 8.
-fn sched_for(w: &Workload) -> (MeasureConfig, Prepared) {
-    let cfg = MeasureConfig::paper(SchedulingModel::Sentinel, 8);
+/// The models the engine section runs, both at issue 8: the sentinel
+/// model and instruction boosting at depth 4.
+const ENGINE_MODELS: [SchedulingModel; 2] =
+    [SchedulingModel::Sentinel, SchedulingModel::Boosting(4)];
+
+/// Schedules `w` for `model` at issue 8.
+fn sched_for(w: &Workload, model: SchedulingModel) -> (MeasureConfig, Prepared) {
+    let cfg = MeasureConfig::paper(model, 8);
     let prepared = prepare(w, &cfg).unwrap();
     (cfg, prepared)
 }
@@ -113,9 +124,11 @@ fn assert_engines_agree(w: &Workload, cfg: &MeasureConfig, prepared: &Prepared) 
         states.push((outcome, *m.stats(), regs, m.memory().snapshot()));
     }
     assert_eq!(
-        states[0], states[1],
-        "{}: turbo engine disagrees with the interpreter",
-        w.name
+        states[0],
+        states[1],
+        "{} {}×8: turbo engine disagrees with the interpreter",
+        w.name,
+        model_str(cfg.model)
     );
 }
 
@@ -123,6 +136,7 @@ fn assert_engines_agree(w: &Workload, cfg: &MeasureConfig, prepared: &Prepared) 
 /// timing pass has no entry.
 struct EngineRow {
     name: String,
+    model: SchedulingModel,
     dyn_insns: u64,
     /// (engine, simulated instructions per second), in `ALL_ENGINES`
     /// order, timed engines only.
@@ -136,16 +150,18 @@ impl EngineRow {
 }
 
 fn bench_engines(quick: bool, only: Option<Engine>) -> Vec<EngineRow> {
-    group("engines (sentinel model, issue 8)");
+    group("engines (S and B4, issue 8)");
 
-    // Verification pass: the whole suite, both engines, every run.
+    // Verification pass: the whole suite, both models, both engines.
     let workloads = suite::shared();
     for w in workloads.iter() {
-        let (cfg, prepared) = sched_for(w);
-        assert_engines_agree(w, &cfg, &prepared);
+        for model in ENGINE_MODELS {
+            let (cfg, prepared) = sched_for(w, model);
+            assert_engines_agree(w, &cfg, &prepared);
+        }
     }
     println!(
-        "   (both engines agree on all {} suite workloads)",
+        "   (both engines agree on all {} suite workloads under S and B4)",
         workloads.len()
     );
 
@@ -167,36 +183,57 @@ fn bench_engines(quick: bool, only: Option<Engine>) -> Vec<EngineRow> {
     let mut rows = Vec::new();
     for name in timed {
         let w = suite::by_name(name).unwrap();
-        let (cfg, prepared) = sched_for(&w);
-        let dyn_insns = run_once(&w, &cfg, &prepared, Engine::Turbo);
-        // Engines alternate within each timing round so host contention
-        // cannot bias one engine's whole sample block; the min is the
-        // uncontended-time estimate for each.
-        let mut fns: Vec<Box<dyn FnMut() + '_>> = engines
+        let points: Vec<(MeasureConfig, Prepared)> =
+            ENGINE_MODELS.iter().map(|&m| sched_for(&w, m)).collect();
+        let dyn_insns: Vec<u64> = points
             .iter()
-            .map(|&engine| {
-                let (w, cfg, prepared) = (&w, &cfg, &prepared);
-                Box::new(move || {
+            .map(|(cfg, prepared)| run_once(&w, cfg, prepared, Engine::Turbo))
+            .collect();
+        // Models and engines alternate within each timing round so host
+        // contention cannot bias one whole sample block; the min is the
+        // uncontended-time estimate for each.
+        let mut fns: Vec<Box<dyn FnMut() + '_>> = Vec::new();
+        for (cfg, prepared) in &points {
+            for &engine in &engines {
+                let w = &w;
+                fns.push(Box::new(move || {
                     for _ in 0..reps {
                         std::hint::black_box(run_once(w, cfg, prepared, engine));
                     }
-                }) as Box<dyn FnMut() + '_>
-            })
-            .collect();
+                }));
+            }
+        }
         let times = time_interleaved(rounds, &mut fns);
-        let mut ips = Vec::new();
-        let mut line = format!("{name:<14} {dyn_insns:>9} insns");
-        for (&engine, t) in engines.iter().zip(&times) {
-            let v = (dyn_insns * reps) as f64 / t.min.as_secs_f64();
-            ips.push((engine, v));
-            let _ = write!(line, "   {engine} {v:>12.0} ips");
+        let first = rows.len();
+        for (i, (cfg, _)) in points.iter().enumerate() {
+            let ips = engines
+                .iter()
+                .zip(&times[i * engines.len()..])
+                .map(|(&e, t)| (e, (dyn_insns[i] * reps) as f64 / t.min.as_secs_f64()))
+                .collect();
+            rows.push(EngineRow {
+                name: name.to_string(),
+                model: cfg.model,
+                dyn_insns: dyn_insns[i],
+                ips,
+            });
+        }
+        let [s, b4] = &rows[first..] else {
+            unreachable!("one row per engine model")
+        };
+        for r in [s, b4] {
+            let label = format!("{name} {}×8", model_str(r.model));
+            let mut line = format!("{label:<16} {:>9} insns", r.dyn_insns);
+            for &(engine, v) in &r.ips {
+                let _ = write!(line, "   {engine} {:>6.1} Minsn/s", v / 1e6);
+            }
+            println!("{line}");
+        }
+        let mut line = format!("{:<32}", format!("{name} S÷B4"));
+        for &(engine, v) in &b4.ips {
+            let _ = write!(line, "   {engine} {:>6.2}", s.ips_of(engine).unwrap() / v);
         }
         println!("{line}");
-        rows.push(EngineRow {
-            name: name.to_string(),
-            dyn_insns,
-            ips,
-        });
     }
     rows
 }
@@ -247,10 +284,12 @@ fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
     (sum / n.max(1) as f64).exp()
 }
 
-/// Geomean ratio of `num` over `den` across rows where both were timed.
+/// Geomean ratio of `num` over `den` across the S rows where both were
+/// timed.
 fn geomean_ratio(rows: &[EngineRow], num: Engine, den: Engine) -> Option<f64> {
     let ratios: Vec<f64> = rows
         .iter()
+        .filter(|r| r.model == SchedulingModel::Sentinel)
         .filter_map(|r| Some(r.ips_of(num)? / r.ips_of(den)?))
         .collect();
     (!ratios.is_empty()).then(|| geomean(ratios.iter().copied()))
@@ -260,8 +299,10 @@ fn write_json(path: &str, rows: &[EngineRow], grid: Option<[f64; 2]>) {
     let mut j = String::from("{\n  \"bench\": \"throughput\",\n  \"engines\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let mut fields = format!(
-            "\"workload\": \"{}\", \"dyn_insns\": {}",
-            r.name, r.dyn_insns
+            "\"workload\": \"{}\", \"model\": \"{}\", \"dyn_insns\": {}",
+            r.name,
+            model_str(r.model),
+            r.dyn_insns
         );
         for &(engine, ips) in &r.ips {
             let _ = write!(fields, ", \"{engine}_ips\": {ips:.0}");

@@ -13,8 +13,12 @@
 //! the seed space by (alias_frac, trap_frac) mix, covering trap-free
 //! runs, alias-heavy schedules (speculative-store pressure under model
 //! T), trap-heavy runs (deferred exceptions mid-run), and both at once.
+//! A fifth test runs instruction boosting (B1/B2/B4/B16, each at widths
+//! 1/2/4/8) on programs with both aliasing and traps, so boosted
+//! faults reach the shadow commit.
 
 use sentinel::fuzz::run_batch;
+use sentinel_core::SchedulingModel;
 
 /// Seeds per (alias, trap) mix: 4 × 256 = 1,024 cases total.
 const CASES_PER_MIX: u64 = 256;
@@ -37,4 +41,16 @@ fn fuzz_trap_heavy() {
 #[test]
 fn fuzz_alias_and_traps() {
     run_batch(30_000, CASES_PER_MIX, 0.25, 0.15, None, None).unwrap();
+}
+
+/// Seeds per boosting depth: 4 × 32 = 128 cases, 8 per (depth, width).
+const BOOST_CASES_PER_DEPTH: u64 = 32;
+
+#[test]
+fn fuzz_boosting_alias_and_traps() {
+    for (i, levels) in [1, 2, 4, 16].into_iter().enumerate() {
+        let start = 40_000 + i as u64 * BOOST_CASES_PER_DEPTH;
+        let model = Some(SchedulingModel::Boosting(levels));
+        run_batch(start, BOOST_CASES_PER_DEPTH, 0.25, 0.25, model, None).unwrap();
+    }
 }
