@@ -6,6 +6,11 @@
 //! compiled here, and each scheduled function is reduced to one line:
 //! the point, the FNV-1a hash of its `asm::print` text, and its
 //! [`SchedStats`]. The lines must match `tests/golden/schedules.txt`.
+//! The same loop pins each compile's [`PassLog`] in
+//! `tests/golden/pass_logs.txt`: the point, its total pass runs, and a
+//! digest of every report without wall times (name, runs, IR delta,
+//! diagnostics), since the grid's `compile.pass.*` metrics, serve's
+//! `passes` field and `sentinel compile --explain` all read that log.
 //!
 //! The figures only see cycle counts, so a scheduler change that
 //! reorders instructions without changing a count passes every figure
@@ -16,7 +21,7 @@
 
 use sentinel_bench::grid::Cell;
 use sentinel_bench::runner::{prepare, MeasureConfig};
-use sentinel_core::{CompileSession, SchedOptions, SchedStats, SchedulingModel};
+use sentinel_core::{CompileSession, PassLog, SchedOptions, SchedStats, SchedulingModel};
 use sentinel_isa::MachineDesc;
 use sentinel_prog::superblock::unroll_all_loops;
 use sentinel_prog::{asm, Function};
@@ -57,8 +62,14 @@ fn grid_points(bench: &str) -> Vec<Cell> {
     cells
 }
 
-fn line(point: &str, func: &Function, s: &SchedStats) -> String {
-    format!(
+/// One point's lines: its schedule line and its pass-log line.
+struct Lines {
+    schedule: String,
+    passes: String,
+}
+
+fn line(point: &str, func: &Function, s: &SchedStats, log: &PassLog) -> Lines {
+    let schedule = format!(
         "{point} asm={:016x} blocks={} speculated={} checks={} confirms={} pinned_stores={} \
          renames={} clear_tags={}\n",
         fnv64(asm::print(func).as_bytes()),
@@ -69,7 +80,31 @@ fn line(point: &str, func: &Function, s: &SchedStats) -> String {
         s.pinned_stores,
         s.renames,
         s.clear_tags,
-    )
+    );
+    Lines {
+        schedule,
+        passes: format!(
+            "{point} runs={} log={:016x}\n",
+            log.total_runs(),
+            fnv64(log_text(log).as_bytes())
+        ),
+    }
+}
+
+/// A pass log without its wall times: per report in order, the name,
+/// runs and IR delta, then each diagnostic on its own line.
+fn log_text(log: &PassLog) -> String {
+    let mut out = String::new();
+    for r in log.reports() {
+        out.push_str(&format!(
+            "{} {} +{} -{} +{}\n",
+            r.name, r.runs, r.delta.insns_added, r.delta.insns_removed, r.delta.marked_speculative
+        ));
+        for d in &r.diagnostics {
+            out.push_str(&format!("  {d}\n"));
+        }
+    }
+    out
 }
 
 /// A grid point's label in the golden file: `Cell`'s rendering, but with
@@ -80,15 +115,15 @@ fn grid_label(cell: &Cell) -> String {
     format!("grid {cell}").replacen(&tag(&model_str(cell.model)), &tag(cell.model.tag()), 1)
 }
 
-fn compile_cell(w: &Workload, cfg: &MeasureConfig, point: &str) -> String {
+fn compile_cell(w: &Workload, cfg: &MeasureConfig, point: &str) -> Lines {
     let p = prepare(w, cfg).unwrap_or_else(|e| panic!("{point}: {e}"));
-    line(point, &p.func, &p.sched)
+    line(point, &p.func, &p.sched, &p.passes)
 }
 
 /// A generated program as a `/v1/compile` request carries it: a suite
 /// benchmark's generator parameters under a fresh seed, printed and
 /// parsed back, scheduled with seeded knobs on the service's machine.
-fn compile_generated(spec_index: usize, n: u64) -> String {
+fn compile_generated(spec_index: usize, n: u64) -> Lines {
     let specs = suite::specs();
     let seed = fnv64(&(spec_index as u64 * 1_000 + n).to_le_bytes());
     let mut spec = specs[spec_index].clone();
@@ -115,21 +150,34 @@ fn compile_generated(spec_index: usize, n: u64) -> String {
         if recovery { " +recovery" } else { "" }
     );
     let mdes = MachineDesc::builder().issue_width(width).build();
-    let scheduled = CompileSession::for_function(&func)
+    let mut session = CompileSession::for_function(&func)
         .mdes(&mdes)
         .options(opts)
-        .build()
-        .run()
-        .unwrap_or_else(|e| panic!("{point}: {e}"));
-    line(&point, &scheduled.func, &scheduled.stats)
+        .build();
+    let scheduled = session.run().unwrap_or_else(|e| panic!("{point}: {e}"));
+    line(&point, &scheduled.func, &scheduled.stats, session.log())
 }
 
-fn render() -> String {
+/// The renderings of both golden files: schedules, then pass logs.
+#[derive(Default)]
+struct Rendered {
+    schedules: String,
+    passes: String,
+}
+
+impl Rendered {
+    fn push(&mut self, lines: Lines) {
+        self.schedules.push_str(&lines.schedule);
+        self.passes.push_str(&lines.passes);
+    }
+}
+
+fn render() -> Rendered {
     let workloads = suite::shared();
-    let mut out = String::new();
+    let mut out = Rendered::default();
     for w in workloads.iter() {
         for cell in grid_points(&w.name) {
-            out.push_str(&compile_cell(w, &cell.config(), &grid_label(&cell)));
+            out.push(compile_cell(w, &cell.config(), &grid_label(&cell)));
         }
     }
     for w in workloads.iter() {
@@ -137,30 +185,26 @@ fn render() -> String {
             let mut unrolled = w.clone();
             unroll_all_loops(&mut unrolled.func, factor);
             let point = format!("unroll x{factor} {}", Cell::paper(&w.name, S, 8));
-            out.push_str(&compile_cell(
-                &unrolled,
-                &MeasureConfig::paper(S, 8),
-                &point,
-            ));
+            out.push(compile_cell(&unrolled, &MeasureConfig::paper(S, 8), &point));
         }
     }
     for spec_index in 0..suite::specs().len() {
         for n in 0..GENERATED_PER_BENCH {
-            out.push_str(&compile_generated(spec_index, n));
+            out.push(compile_generated(spec_index, n));
         }
     }
     out
 }
 
-#[test]
-fn schedules_match_the_golden_file() {
-    let rendered = render();
-    let golden = include_str!("golden/schedules.txt");
+/// `None` when `rendered` matches the golden file `name`; otherwise the
+/// first differing line, with the full rendering written next to the
+/// test binary's scratch files.
+fn drift(name: &str, golden: &str, rendered: &str) -> Option<String> {
     if rendered == golden {
-        return;
+        return None;
     }
-    let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("schedules.txt");
-    std::fs::write(&actual, &rendered).expect("write the rendered schedules");
+    let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&actual, rendered).expect("write the rendering");
     let first = golden
         .lines()
         .zip(rendered.lines())
@@ -173,12 +217,34 @@ fn schedules_match_the_golden_file() {
                 rendered.lines().count()
             )
         });
-    panic!(
-        "scheduled code drifted from tests/golden/schedules.txt; first difference:\n{first}\n\
+    Some(format!(
+        "tests/golden/{name} drifted; first difference:\n{first}\n\
          The full rendering is in {}. If the change is deliberate, copy it over the\n\
          golden file and say why in CHANGELOG.md.",
         actual.display()
-    );
+    ))
+}
+
+#[test]
+fn schedules_match_the_golden_file() {
+    // One compile per point feeds both files.
+    let rendered = render();
+    let drifts: Vec<String> = [
+        (
+            "schedules.txt",
+            include_str!("golden/schedules.txt"),
+            &rendered.schedules,
+        ),
+        (
+            "pass_logs.txt",
+            include_str!("golden/pass_logs.txt"),
+            &rendered.passes,
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(name, golden, r)| drift(name, golden, r))
+    .collect();
+    assert!(drifts.is_empty(), "{}", drifts.join("\n\n"));
 }
 
 #[test]
@@ -196,4 +262,12 @@ fn grid_points_are_the_374_reproduce_all_compiles() {
     let count = |prefix: &str| golden.lines().filter(|l| l.starts_with(prefix)).count();
     assert_eq!(count("grid "), 374);
     assert_eq!(count("unroll "), 34);
+    // The pass-log file names the same points in the same order.
+    let labels = |text: &'static str, sep: &str| -> Vec<&'static str> {
+        text.lines().map(|l| l.split(sep).next().unwrap()).collect()
+    };
+    assert_eq!(
+        labels(golden, " asm="),
+        labels(include_str!("golden/pass_logs.txt"), " runs=")
+    );
 }
