@@ -16,13 +16,12 @@
 //! * [`schedule_function`] / [`schedule_program`] — the end-to-end
 //!   pipeline.
 //!
-//! The pipeline is an explicit pass manager: [`CompileSession`] runs the
-//! stages as named [`pass::Pass`]es, timing each run, computing its IR
-//! delta, collecting diagnostics, and checking the
-//! [`verify_ir`](verify_ir::verify_ir) inter-pass invariants between
-//! stages (always in debug builds, and under
-//! [`SchedOptions::verify_passes`] in release). [`schedule_function`]
-//! is the thin one-call wrapper over it.
+//! [`CompileSession`] runs the pipeline as straight-line code, recording
+//! each stage run in one [`PassLog`] (wall time, IR delta, diagnostics)
+//! and checking the [`verify_ir`](verify_ir::verify_ir) inter-pass
+//! invariants after every stage that rewrites the IR (always in debug
+//! builds, and under [`SchedOptions::verify_passes`] in release).
+//! [`schedule_function`] is the thin one-call wrapper over it.
 //!
 //! # Example
 //!
@@ -61,7 +60,7 @@ mod session;
 
 pub use list::{BlockSchedStats, BlockSchedule};
 pub use models::{SchedOptions, SchedulingModel};
-pub use pass::{Pass, PassCtx, PassLog, PassReport, PASS_NAMES};
+pub use pass::{PassLog, PassReport, PASS_NAMES};
 pub use pipeline::{
     schedule_function, schedule_program, SchedStats, ScheduleError, ScheduledProgram,
 };

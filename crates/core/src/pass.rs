@@ -1,35 +1,17 @@
-//! The compiler pass abstraction: named stages over a shared context.
+//! The compile record: one [`PassReport`] per pipeline stage.
 //!
-//! The scheduling pipeline used to be one monolithic function calling
-//! helpers in a fixed order. It is now a sequence of [`Pass`]es, each
-//! with a uniform `run(&mut PassCtx) -> Result<(), ScheduleError>`
-//! interface, executed by [`CompileSession`](crate::CompileSession):
-//! the manager times every run, computes the IR delta it produced,
-//! collects the structured diagnostics it raised, and (in debug builds
-//! or under [`SchedOptions::verify_passes`]) checks the inter-pass IR
-//! invariants with [`verify_ir`](crate::verify_ir::verify_ir) so a
-//! broken pass is caught at its own boundary instead of at simulation
-//! time.
-//!
-//! Function-level passes run once; the block-level passes (`depgraph`,
+//! [`CompileSession`](crate::CompileSession) runs the scheduling
+//! pipeline as straight-line code and records every stage run here: its
+//! wall time, the IR delta it produced, and the diagnostics it raised.
+//! Function-level stages run once; the block-level stages (`depgraph`,
 //! `reduction`, `list-schedule`) run once per block — and again per
 //! block on every §4.2 store-separation retry — so a [`PassReport`]
 //! aggregates all runs of one name.
 
-use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-use sentinel_isa::{BlockId, InsnId, MachineDesc};
-use sentinel_prog::cfg::Cfg;
-use sentinel_prog::liveness::{Liveness, RegSet};
 use sentinel_prog::Function;
 use sentinel_trace::IrDelta;
-
-use crate::depgraph::DepGraph;
-use crate::list::BlockSchedule;
-use crate::models::SchedOptions;
-use crate::pipeline::{SchedStats, ScheduleError};
-use crate::reduction::Reduction;
 
 /// Canonical pass names, in pipeline order. `store-separation-retry`
 /// appears in a log only when the §4.2 constraint forced a retry.
@@ -45,110 +27,6 @@ pub const PASS_NAMES: [&str; 10] = [
     "store-separation-retry",
     "regalloc",
 ];
-
-/// Shared state the passes read and mutate.
-///
-/// The working function starts as a clone of the input (made by the
-/// `superblock-prep` pass); analyses (`cfg`, `liveness`) and the
-/// per-block scratch (`graph`, `reduction`) are filled by the passes
-/// that compute them and consumed by the ones that follow.
-pub struct PassCtx<'a> {
-    /// The untouched input function.
-    pub input: &'a Function,
-    /// Target machine description.
-    pub mdes: &'a MachineDesc,
-    /// Scheduling options.
-    pub opts: &'a SchedOptions,
-    /// The function being rewritten (clone of `input`).
-    pub func: Function,
-    /// Registers live into the input's entry block (recorded before any
-    /// rewriting; `verify_ir` checks no pass introduces new ones).
-    pub entry_live_in: RegSet,
-    /// Control-flow graph of `func` (computed by the `liveness` pass).
-    pub cfg: Option<Cfg>,
-    /// Live-variable analysis of `func` (computed by the `liveness` pass).
-    pub liveness: Option<Liveness>,
-    /// Instruction ids pinned non-speculative: recovery restore moves,
-    /// unrenamable self-overwrites, and §4.2-pinned stores.
-    pub pinned: HashSet<InsnId>,
-    /// Unrenamable self-overwrites (§3.7 restriction 3: nothing moves
-    /// across them).
-    pub unrenamable: HashSet<InsnId>,
-    /// The block currently moving through the block-level passes.
-    pub block: Option<BlockId>,
-    /// Dependence graph of `block` (built by `depgraph`).
-    pub graph: Option<DepGraph>,
-    /// The graph `list-schedule` last consumed, kept so the next
-    /// `depgraph` run rebuilds in its allocations.
-    pub spare_graph: Option<DepGraph>,
-    /// Reduction of `graph` (built by `reduction`).
-    pub reduction: Option<Reduction>,
-    /// Finished per-block schedules.
-    pub schedules: HashMap<BlockId, BlockSchedule>,
-    /// Aggregate statistics.
-    pub stats: SchedStats,
-    /// Diagnostics raised by the current pass run (drained into the
-    /// [`PassReport`] by the manager after the run).
-    pub diagnostics: Vec<String>,
-}
-
-impl<'a> PassCtx<'a> {
-    /// A fresh context over `input`. The working copy is not made here
-    /// but by the `superblock-prep` pass, so its cost is attributed.
-    pub fn new(input: &'a Function, mdes: &'a MachineDesc, opts: &'a SchedOptions) -> PassCtx<'a> {
-        PassCtx {
-            input,
-            mdes,
-            opts,
-            func: Function::new(input.name()),
-            entry_live_in: RegSet::default(),
-            cfg: None,
-            liveness: None,
-            pinned: HashSet::new(),
-            unrenamable: HashSet::new(),
-            block: None,
-            graph: None,
-            spare_graph: None,
-            reduction: None,
-            schedules: HashMap::new(),
-            stats: SchedStats::default(),
-            diagnostics: Vec::new(),
-        }
-    }
-
-    /// Raises a structured non-fatal diagnostic on the current run.
-    pub fn diag(&mut self, msg: impl Into<String>) {
-        self.diagnostics.push(msg.into());
-    }
-
-    /// The liveness analysis, which must have been computed.
-    pub fn liveness_ref(&self) -> Result<&Liveness, ScheduleError> {
-        self.liveness
-            .as_ref()
-            .ok_or_else(|| ScheduleError::Internal("liveness pass did not run".into()))
-    }
-}
-
-/// One named compiler stage.
-pub trait Pass {
-    /// Stable kebab-case name (one of [`PASS_NAMES`]).
-    fn name(&self) -> &'static str;
-
-    /// Executes the stage against the shared context.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ScheduleError`]; the manager stops the pipeline at the
-    /// first failing pass and reports it by name.
-    fn run(&mut self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError>;
-
-    /// Whether the stage may mutate the IR. Analysis passes answer
-    /// `false`, which lets the manager skip the inter-pass IR check
-    /// after them (the IR cannot have changed).
-    fn mutates_ir(&self) -> bool {
-        true
-    }
-}
 
 /// Aggregated record of every run of one pass name.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,7 +132,7 @@ impl PassLog {
     }
 }
 
-/// Whole-function counts the manager diffs to compute an [`IrDelta`].
+/// Whole-function counts the session diffs to compute an [`IrDelta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IrSnapshot {
     /// Total instructions.

@@ -2,7 +2,7 @@
 //! thin convenience wrappers.
 //!
 //! The pipeline itself lives in [`CompileSession`](crate::CompileSession)
-//! — an explicit pass manager that times, diffs, and verifies every
+//! — one straight-line driver that times, diffs, and verifies every
 //! stage. [`schedule_function`] and [`schedule_program`] are the
 //! one-call wrappers over it for callers that do not need the pass log.
 

@@ -1,29 +1,25 @@
-//! Compile-phase observability: pass events and sinks.
+//! Compile-phase observability vocabulary.
 //!
 //! The simulator side of the workspace reports per-cycle [`Event`]s
-//! into a [`TraceSink`]; this module is the symmetric vocabulary for
-//! the *compiler* side. The pass manager in `sentinel-core` emits one
-//! [`PassEvent`] per executed pass run (a pass may run several times —
-//! once per block, or once per store-separation retry attempt) into a
-//! [`CompileSink`], carrying the pass name, wall-clock time, and the
-//! IR delta the run produced.
+//! into a [`TraceSink`]; the compiler side keeps one record per
+//! compilation, the `PassLog` of `sentinel-core`'s compile session, in
+//! which every stage run carries its wall time and the [`IrDelta`] it
+//! produced. This module holds the parts of that vocabulary other
+//! layers share: the delta type and the metric name the grid counts
+//! pass runs under.
 //!
 //! [`Event`]: crate::Event
 //! [`TraceSink`]: crate::TraceSink
 
-use std::fmt::Write as _;
-
 /// Metric name: total compiler passes executed (pass runs, not distinct
 /// pass names).
 pub const PASS_RUNS: &str = "compile.pass.runs";
-/// Metric name: inter-pass `verify_ir` invocations.
-pub const VERIFY_RUNS: &str = "compile.verify.runs";
 
 /// How one pass run changed the IR.
 ///
-/// Deltas are computed by the pass manager from whole-function counts
-/// taken before and after the run, so they hold for any pass without
-/// per-pass bookkeeping.
+/// Deltas are computed by the compile session from whole-function
+/// counts taken before and after the run, so they hold for any stage
+/// without per-stage bookkeeping.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IrDelta {
     /// Instructions added (sentinels, clear_tags, restore moves...).
@@ -51,134 +47,9 @@ impl std::fmt::Display for IrDelta {
     }
 }
 
-/// One completed run of a named compiler pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PassEvent {
-    /// Pass name (stable, kebab-case: `validate`, `depgraph`, ...).
-    pub pass: &'static str,
-    /// 0-based sequence number of this run within the compilation.
-    pub seq: u32,
-    /// Wall-clock time of the run, in microseconds.
-    pub wall_micros: u64,
-    /// IR delta produced by the run.
-    pub delta: IrDelta,
-    /// Structured non-fatal diagnostics the run raised.
-    pub diagnostics: Vec<String>,
-}
-
-/// Receives compile-phase pass events as the pass manager executes.
-///
-/// `Send` for the same reason [`TraceSink`](crate::TraceSink) is: the
-/// evaluation grid engine compiles cells on worker threads, and each
-/// cell may carry its own sink.
-pub trait CompileSink: Send {
-    /// Consumes one pass-run event. Events arrive in execution order.
-    fn pass(&mut self, event: &PassEvent);
-
-    /// Renders everything recorded so far, leaving the sink empty.
-    fn finish(&mut self) -> String {
-        String::new()
-    }
-}
-
-/// Buffers raw pass events for programmatic inspection.
-#[derive(Debug, Default)]
-pub struct CollectCompileSink {
-    /// Every event recorded, in execution order.
-    pub events: Vec<PassEvent>,
-}
-
-impl CompileSink for CollectCompileSink {
-    fn pass(&mut self, event: &PassEvent) {
-        self.events.push(event.clone());
-    }
-
-    fn finish(&mut self) -> String {
-        let n = self.events.len();
-        self.events.clear();
-        format!("{n} pass runs")
-    }
-}
-
-/// Renders pass events as a human-readable log, one line per run:
-/// name, wall time, IR delta, and diagnostics. Used by
-/// `sentinel compile --explain`.
-#[derive(Debug, Default)]
-pub struct ExplainSink {
-    lines: String,
-    runs: usize,
-}
-
-impl CompileSink for ExplainSink {
-    fn pass(&mut self, e: &PassEvent) {
-        self.runs += 1;
-        let _ = write!(
-            self.lines,
-            "[{:>3}] {:<22} {:>8}µs",
-            e.seq, e.pass, e.wall_micros
-        );
-        if !e.delta.is_empty() {
-            let _ = write!(self.lines, "  {}", e.delta);
-        }
-        let _ = writeln!(self.lines);
-        for d in &e.diagnostics {
-            let _ = writeln!(self.lines, "      · {d}");
-        }
-    }
-
-    fn finish(&mut self) -> String {
-        let out = std::mem::take(&mut self.lines);
-        self.runs = 0;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn event(seq: u32) -> PassEvent {
-        PassEvent {
-            pass: "validate",
-            seq,
-            wall_micros: 42,
-            delta: IrDelta {
-                insns_added: 2,
-                insns_removed: 0,
-                marked_speculative: 1,
-            },
-            diagnostics: vec!["note".into()],
-        }
-    }
-
-    #[test]
-    fn collect_sink_buffers_in_order() {
-        let mut s = CollectCompileSink::default();
-        s.pass(&event(0));
-        s.pass(&event(1));
-        assert_eq!(s.events.len(), 2);
-        assert!(s.events[0].seq < s.events[1].seq);
-        assert_eq!(s.finish(), "2 pass runs");
-        assert!(s.events.is_empty());
-    }
-
-    #[test]
-    fn explain_sink_renders_delta_and_diags() {
-        let mut s = ExplainSink::default();
-        s.pass(&event(0));
-        let out = s.finish();
-        assert!(out.contains("validate"));
-        assert!(out.contains("+2 -0 insns"));
-        assert!(out.contains("· note"));
-        assert_eq!(s.finish(), "");
-    }
-
-    #[test]
-    fn compile_sinks_are_send() {
-        fn assert_send<T: Send>(_: T) {}
-        assert_send(Box::new(CollectCompileSink::default()) as Box<dyn CompileSink>);
-        assert_send(Box::new(ExplainSink::default()) as Box<dyn CompileSink>);
-    }
 
     #[test]
     fn delta_display_and_emptiness() {

@@ -25,11 +25,9 @@
 //! never run without an attached sink, so the disabled path is a single
 //! branch per instrumentation site.
 //!
-//! The [`compile`] module is the symmetric vocabulary for the
-//! *compiler* side: the pass manager in `sentinel-core` emits one
-//! [`PassEvent`] per pass run (name, wall time, IR delta, diagnostics)
-//! into a [`CompileSink`], so compile-phase observability rides the
-//! same crate as simulation-phase observability.
+//! The [`compile`] module is the shared vocabulary of the *compiler*
+//! side: the [`IrDelta`] each stage run of `sentinel-core`'s compile
+//! session records in its pass log, and the pass-run metric name.
 //!
 //! [`Metrics`] adds a deterministic counter/histogram registry for
 //! aggregate observability (issue-slot utilization, store-buffer
@@ -55,7 +53,7 @@ pub mod store;
 pub mod timeline;
 
 pub use chrome::ChromeTraceSink;
-pub use compile::{CollectCompileSink, CompileSink, ExplainSink, IrDelta, PassEvent};
+pub use compile::IrDelta;
 pub use event::{Event, EventKind, StallReason};
 pub use jsonl::JsonlSink;
 pub use metrics::{Histogram, Metrics, SharedMetrics};
