@@ -170,12 +170,8 @@ fn mem_ref(insn: &Insn, base_version: impl Fn(Reg) -> u32) -> Option<MemRef> {
 impl DepGraph {
     /// Builds the full (unreduced) dependence graph of a block. Flow-edge
     /// latencies come from `mdes`.
-    ///
-    /// `recovery` widens barrier treatment per §3.7 (it does not change
-    /// register/memory edges, only which instructions later count as
-    /// region delimiters — kept here for symmetry of the public API).
-    pub fn build(block: &Block, mdes: &MachineDesc, recovery: bool) -> DepGraph {
-        DepGraph::build_with_aliasing(block, mdes, recovery, &Default::default())
+    pub fn build(block: &Block, mdes: &MachineDesc) -> DepGraph {
+        DepGraph::build_with_aliasing(block, mdes, &Default::default())
     }
 
     /// Like [`DepGraph::build`], honoring program-level `noalias` base
@@ -185,11 +181,10 @@ impl DepGraph {
     pub fn build_with_aliasing(
         block: &Block,
         mdes: &MachineDesc,
-        recovery: bool,
         noalias: &std::collections::BTreeSet<Reg>,
     ) -> DepGraph {
         let mut g = DepGraph::default();
-        g.rebuild_with_aliasing(block, mdes, recovery, noalias);
+        g.rebuild_with_aliasing(block, mdes, noalias);
         g
     }
 
@@ -201,10 +196,8 @@ impl DepGraph {
         &mut self,
         block: &Block,
         mdes: &MachineDesc,
-        recovery: bool,
         noalias: &std::collections::BTreeSet<Reg>,
     ) {
-        let _ = recovery;
         let n = block.insns.len();
         let g = self;
         g.nodes.clear();
@@ -547,7 +540,7 @@ mod tests {
             Insn::addi(Reg::int(2), Reg::int(1), 1),
             Insn::li(Reg::int(1), 7),
         ]);
-        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         assert!(has_edge(&g, 0, 1, DepKind::Flow));
         assert!(has_edge(&g, 1, 2, DepKind::Anti));
         assert!(has_edge(&g, 0, 2, DepKind::Output));
@@ -560,7 +553,7 @@ mod tests {
             Insn::ld_w(Reg::int(1), Reg::int(2), 0),
             Insn::addi(Reg::int(3), Reg::int(1), 1),
         ]);
-        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         let e = g.succs(0).iter().find(|e| e.to == 1).unwrap();
         assert_eq!(e.latency, 2);
         assert_eq!(e.kind, DepKind::Flow);
@@ -573,7 +566,7 @@ mod tests {
             Insn::st_w(Reg::int(1), Reg::int(2), 0),
             Insn::ld_w(Reg::int(3), Reg::int(4), 0),
         ]);
-        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         assert!(has_edge(&g, 0, 1, DepKind::Memory));
     }
 
@@ -584,7 +577,7 @@ mod tests {
             Insn::st_w(Reg::int(1), Reg::int(2), 0),
             Insn::ld_w(Reg::int(3), Reg::int(2), 8),
         ]);
-        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         assert!(!has_edge(&g, 0, 1, DepKind::Memory));
     }
 
@@ -597,11 +590,11 @@ mod tests {
         ]);
         let noalias: std::collections::BTreeSet<Reg> =
             [Reg::int(2), Reg::int(4)].into_iter().collect();
-        let g = DepGraph::build_with_aliasing(&b, &MachineDesc::paper_issue(1), false, &noalias);
+        let g = DepGraph::build_with_aliasing(&b, &MachineDesc::paper_issue(1), &noalias);
         assert!(!has_edge(&g, 0, 1, DepKind::Memory));
         // Only one base declared: conservative again.
         let partial: std::collections::BTreeSet<Reg> = [Reg::int(2)].into_iter().collect();
-        let g2 = DepGraph::build_with_aliasing(&b, &MachineDesc::paper_issue(1), false, &partial);
+        let g2 = DepGraph::build_with_aliasing(&b, &MachineDesc::paper_issue(1), &partial);
         assert!(has_edge(&g2, 0, 1, DepKind::Memory));
     }
 
@@ -615,7 +608,7 @@ mod tests {
         ]);
         let noalias: std::collections::BTreeSet<Reg> =
             [Reg::int(2), Reg::int(4)].into_iter().collect();
-        let g = DepGraph::build_with_aliasing(&b, &MachineDesc::paper_issue(1), false, &noalias);
+        let g = DepGraph::build_with_aliasing(&b, &MachineDesc::paper_issue(1), &noalias);
         assert!(has_edge(&g, 0, 2, DepKind::Memory));
     }
 
@@ -627,7 +620,7 @@ mod tests {
             Insn::addi(Reg::int(2), Reg::int(2), 8),
             Insn::ld_w(Reg::int(3), Reg::int(2), 8),
         ]);
-        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         assert!(has_edge(&g, 0, 2, DepKind::Memory));
     }
 
@@ -637,7 +630,7 @@ mod tests {
             Insn::st_w(Reg::int(1), Reg::int(2), 0),
             Insn::st_w(Reg::int(1), Reg::int(2), 64),
         ]);
-        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         assert!(has_edge(&g, 0, 1, DepKind::Memory), "stores never reorder");
     }
 
@@ -649,7 +642,7 @@ mod tests {
             Insn::branch(Opcode::Beq, Reg::int(1), Reg::ZERO, BlockId(1)),
             Insn::addi(Reg::int(2), Reg::int(2), 1),
         ]);
-        let mut g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let mut g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         assert!(has_edge(&g, 0, 1, DepKind::Order), "no downward motion");
         assert!(has_edge(&g, 1, 2, DepKind::Control), "speculation edge");
         assert!(g.remove_control_edge(1, 2));
@@ -664,7 +657,7 @@ mod tests {
             Insn::jsr(),
             Insn::ld_w(Reg::int(2), Reg::int(3), 0),
         ]);
-        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         assert!(has_edge(&g, 0, 1, DepKind::Order));
         assert!(has_edge(&g, 1, 2, DepKind::Order));
     }
@@ -677,7 +670,7 @@ mod tests {
             Insn::jsr(),                             // 2
             Insn::addi(Reg::int(3), Reg::int(1), 1), // 3
         ]);
-        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         assert_eq!(g.region_end(0, false), 1);
         // Without recovery, jsr does not delimit regions.
         assert_eq!(g.region_end(1, false), 4);
@@ -694,7 +687,7 @@ mod tests {
             Insn::addi(Reg::int(3), Reg::int(1), 1),
             Insn::st_w(Reg::int(3), Reg::int(2), 0),
         ]);
-        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         let h = g.heights(|i| sentinel_isa::MachineDesc::paper_issue(1).latency(i.op));
         assert!(h[0] > h[1], "earlier chain nodes have larger height");
         assert!(h[1] > 0);
@@ -704,7 +697,7 @@ mod tests {
     #[test]
     fn add_node_extends_graph() {
         let b = block_of(vec![Insn::nop()]);
-        let mut g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let mut g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         let j = g.add_node(Insn::check_exception(Reg::int(1)));
         g.add_edge(Dep {
             from: 0,
@@ -720,7 +713,7 @@ mod tests {
     #[test]
     fn duplicate_edges_keep_max_latency() {
         let b = block_of(vec![Insn::nop(), Insn::nop()]);
-        let mut g = DepGraph::build(&b, &MachineDesc::paper_issue(1), false);
+        let mut g = DepGraph::build(&b, &MachineDesc::paper_issue(1));
         g.add_edge(Dep {
             from: 0,
             to: 1,

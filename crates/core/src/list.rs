@@ -70,9 +70,7 @@ impl std::fmt::Display for BlockSchedule {
 
 /// Schedules one block given its reduced dependence graph.
 ///
-/// `pinned_stores` lists original positions of stores that must not be
-/// speculated (used by the §4.2 separation-constraint retry loop in the
-/// pipeline). `fresh_id` allocates instruction ids for inserted sentinels.
+/// `fresh_id` allocates instruction ids for inserted sentinels.
 ///
 /// # Errors
 ///
@@ -182,7 +180,6 @@ pub fn schedule_block(
         }
 
         // Sentinel hook: did this original instruction move above a branch?
-        let mut inserted: Option<usize> = None;
         if let Some(p) = g.nodes[node].orig_pos {
             let crossed = branches
                 .iter()
@@ -308,11 +305,9 @@ pub fn schedule_block(
                             }
                         }
                     }
-                    inserted = Some(j);
                 }
             }
         }
-        let _ = inserted;
 
         // Release successors.
         for e in g.succs(node) {
@@ -401,8 +396,8 @@ mod tests {
         let cfg = Cfg::build(f);
         let lv = Liveness::compute(f, &cfg);
         let e = f.entry();
-        let mut g = DepGraph::build(f.block(e), mdes, opts.recovery);
-        let red = reduce(&mut g, f, e, &lv, opts);
+        let mut g = DepGraph::build(f.block(e), mdes);
+        let red = reduce(&mut g, &lv, opts);
         let mut fresh = {
             let f = &mut *f;
             move || f.fresh_insn_id()
@@ -659,8 +654,8 @@ mod tests {
         let cfg = Cfg::build(&f);
         let lv = Liveness::compute(&f, &cfg);
         let entry = f.entry();
-        let mut g = DepGraph::build(f.block(entry), &mdes, false);
-        let red = reduce(&mut g, &f, entry, &lv, &opts);
+        let mut g = DepGraph::build(f.block(entry), &mdes);
+        let red = reduce(&mut g, &lv, &opts);
         let mut fresh = move || f.fresh_insn_id();
         let r = schedule_block(&mut g, &red, &mdes, &opts, &mut fresh);
         // Either the schedule keeps both stores' confirms tight (ok) or it

@@ -5,7 +5,7 @@
 //! code motion, subject to:
 //!
 //! 1. the scheduling model allows `I`'s opcode above branches at all
-//!    ([`SchedulingModel::may_speculate`]),
+//!    ([`SchedulingModel::may_speculate`](crate::SchedulingModel::may_speculate)),
 //! 2. restriction (1) of §2.1: `dest(I)` is not live when `BR` is taken
 //!    (not in the live-in set of `BR`'s target),
 //! 3. a safety pin for values dead within their own home block (a
@@ -22,14 +22,12 @@
 //! instruction with no such use is unprotected and receives an explicit
 //! sentinel if speculated (§3.1).
 
-use sentinel_isa::BlockId;
 use sentinel_prog::liveness::Liveness;
-use sentinel_prog::Function;
 
 use crate::depgraph::DepGraph;
 #[cfg(test)]
 use crate::depgraph::DepKind;
-use crate::models::{SchedOptions, SchedulingModel};
+use crate::models::SchedOptions;
 
 /// Result of reduction over one block's dependence graph.
 #[derive(Debug, Clone)]
@@ -73,16 +71,11 @@ fn first_event(
     FirstEvent::None
 }
 
-/// Runs reduction in place on `g` (the graph of `block` in `func`),
-/// removing control dependences and computing the unprotected marking.
-pub fn reduce(
-    g: &mut DepGraph,
-    func: &Function,
-    block: BlockId,
-    liveness: &Liveness,
-    opts: &SchedOptions,
-) -> Reduction {
-    reduce_with_pins(g, func, block, liveness, opts, &Default::default())
+/// Runs reduction in place on the block graph `g`, removing control
+/// dependences and computing the unprotected marking. `liveness` is the
+/// function's, for the live-in sets of branch targets.
+pub fn reduce(g: &mut DepGraph, liveness: &Liveness, opts: &SchedOptions) -> Reduction {
+    reduce_with_pins(g, liveness, opts, &Default::default())
 }
 
 /// Like [`reduce`], with an extra set of instruction ids that must stay
@@ -91,20 +84,16 @@ pub fn reduce(
 /// retry loop.
 pub fn reduce_with_pins(
     g: &mut DepGraph,
-    func: &Function,
-    block: BlockId,
     liveness: &Liveness,
     opts: &SchedOptions,
     extra_pinned: &std::collections::HashSet<sentinel_isa::InsnId>,
 ) -> Reduction {
-    let _ = func;
     let n = g.original_len;
     let mut unprotected = vec![false; n];
     let mut duty = vec![false; n];
     let mut pinned = vec![false; n];
     let mut speculatable = vec![false; n];
     let mut removed = 0usize;
-    let _ = block;
     #[allow(clippy::needless_range_loop)]
     for i in 0..n {
         if extra_pinned.contains(&g.nodes[i].insn.id) {
@@ -194,7 +183,6 @@ pub fn reduce_with_pins(
             }
         }
     }
-    let _ = SchedulingModel::all();
 
     Reduction {
         unprotected,
@@ -207,10 +195,11 @@ pub fn reduce_with_pins(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::SchedulingModel;
     use sentinel_isa::{Insn, Opcode, Reg};
     use sentinel_prog::cfg::Cfg;
     use sentinel_prog::examples::figure1;
-    use sentinel_prog::ProgramBuilder;
+    use sentinel_prog::{Function, ProgramBuilder};
 
     fn setup(f: &Function) -> (Cfg, Liveness) {
         let cfg = Cfg::build(f);
@@ -221,12 +210,8 @@ mod tests {
     fn reduce_entry(f: &Function, opts: &SchedOptions) -> (DepGraph, Reduction) {
         let (_, lv) = setup(f);
         let e = f.entry();
-        let mut g = DepGraph::build(
-            f.block(e),
-            &sentinel_isa::MachineDesc::paper_issue(1),
-            opts.recovery,
-        );
-        let r = reduce(&mut g, f, e, &lv, opts);
+        let mut g = DepGraph::build(f.block(e), &sentinel_isa::MachineDesc::paper_issue(1));
+        let r = reduce(&mut g, &lv, opts);
         (g, r)
     }
 
