@@ -142,6 +142,10 @@ pub struct MachineDesc {
 }
 
 impl MachineDesc {
+    /// Store-buffer entries of the paper's machine, the same at every
+    /// issue rate (§5.1).
+    pub const PAPER_STORE_BUFFER: usize = 8;
+
     /// The paper's machine at a given issue rate (1, 2, 4, or 8 in the
     /// paper; any positive width is accepted for sweeps).
     ///
@@ -265,7 +269,7 @@ impl MachineDescBuilder {
             branches_per_cycle: 1,
             int_regs: 64,
             fp_regs: 64,
-            store_buffer_size: 8,
+            store_buffer_size: MachineDesc::PAPER_STORE_BUFFER,
             latencies: LatencyTable::paper(),
         }
     }

@@ -310,7 +310,7 @@ impl JobSpec {
             width,
             engine: Engine::default(),
             recovery: false,
-            store_buffer: default_store_buffer(width),
+            store_buffer: MachineDesc::PAPER_STORE_BUFFER,
             cache: None,
             verify_passes: false,
             emit: false,
@@ -330,7 +330,7 @@ impl JobSpec {
             width,
             engine: Engine::default(),
             recovery: false,
-            store_buffer: default_store_buffer(width),
+            store_buffer: MachineDesc::PAPER_STORE_BUFFER,
             cache: None,
             verify_passes: false,
             emit: false,
@@ -356,7 +356,7 @@ impl JobSpec {
             width,
             engine: Engine::default(),
             recovery: false,
-            store_buffer: default_store_buffer(width),
+            store_buffer: MachineDesc::PAPER_STORE_BUFFER,
             cache: None,
             verify_passes: false,
             emit: false,
@@ -559,13 +559,6 @@ impl JobSpec {
     }
 }
 
-/// The store-buffer depth of the paper machine at `width` — the value
-/// every layer's defaults resolve to, keeping serve-derived and
-/// bench-derived keys identical for the same job.
-fn default_store_buffer(width: usize) -> usize {
-    MachineDesc::paper_issue(width).store_buffer_size()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +574,26 @@ mod tests {
             spec.canonical(),
             "sentinel-spec/v1|kind=simulate|prog=suite:wc|model=S|width=4\
              |engine=fast|recovery=0|sb=8|cache=-|map=-|word=-"
+        );
+    }
+
+    #[test]
+    fn constructors_size_no_machine() {
+        // Width is checked where a job comes in (the CLI's --issue,
+        // serve's "width", FuzzCase::validate), so building a spec at a
+        // width no machine has must not panic.
+        let sim = JobSpec::simulate(
+            ProgramRef::Suite("wc".to_string()),
+            SchedulingModel::Sentinel,
+            0,
+        );
+        assert_eq!(sim.store_buffer, MachineDesc::PAPER_STORE_BUFFER);
+        let fuzz = JobSpec::fuzz(1, SchedulingModel::Sentinel, 0, 0.0, 0.0);
+        assert_eq!(fuzz.store_buffer, MachineDesc::PAPER_STORE_BUFFER);
+        assert_eq!(JobSpec::compile("", SchedulingModel::Sentinel, 0).width, 0);
+        assert_eq!(
+            MachineDesc::paper_issue(4).store_buffer_size(),
+            MachineDesc::PAPER_STORE_BUFFER
         );
     }
 
