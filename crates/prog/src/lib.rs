@@ -16,6 +16,7 @@
 //! * [`liveness`] — backward live-variable analysis (paper §2.1
 //!   restriction (1) and §3.5 uninitialized-register handling),
 //! * [`profile`] — execution profiles used by superblock formation,
+//! * [`hash`] — the workspace's one in-process map hasher,
 //! * [`superblock`] — trace selection + tail duplication,
 //! * [`ProgramBuilder`] — a programmatic assembler, and
 //! * [`asm`] — a textual assembly parser/printer.
@@ -31,6 +32,7 @@ mod validate;
 pub mod asm;
 pub mod cfg;
 pub mod examples;
+pub mod hash;
 pub mod liveness;
 pub mod object;
 pub mod profile;

@@ -4,19 +4,22 @@
 //! frequently executed control-flow paths. The simulator produces a
 //! [`Profile`] as a side effect of execution; the former consumes it.
 
-use std::collections::HashMap;
-
 use sentinel_isa::{BlockId, InsnId};
 
+use crate::hash::FastMap;
+
 /// Execution counts gathered from one or more program runs.
+///
+/// The simulators count into these maps on every block entry and
+/// branch, so they use the cheap in-process [`FastMap`] hasher.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profile {
     /// Times each block was entered (from the top).
-    pub block_entries: HashMap<BlockId, u64>,
+    pub block_entries: FastMap<BlockId, u64>,
     /// Times each control-transfer instruction executed.
-    pub branch_executed: HashMap<InsnId, u64>,
+    pub branch_executed: FastMap<InsnId, u64>,
     /// Times each control-transfer instruction was taken.
-    pub branch_taken: HashMap<InsnId, u64>,
+    pub branch_taken: FastMap<InsnId, u64>,
 }
 
 impl Profile {

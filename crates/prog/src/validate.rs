@@ -1,10 +1,10 @@
 //! Structural validation of functions.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use sentinel_isa::{BlockId, Insn, InsnId, Opcode, RegClass};
 
+use crate::hash::FastSet;
 use crate::Function;
 
 /// A structural error found by [`validate`].
@@ -179,14 +179,16 @@ pub fn validate(func: &Function) -> Vec<ValidateError> {
         return errs;
     }
 
-    let mut labels = HashSet::new();
+    let mut labels: FastSet<&str> =
+        FastSet::with_capacity_and_hasher(func.block_count(), Default::default());
     for b in func.blocks() {
-        if !labels.insert(b.label.clone()) {
+        if !labels.insert(&b.label) {
             errs.push(ValidateError::DuplicateLabel(b.label.clone()));
         }
     }
 
-    let mut ids = HashSet::new();
+    let mut ids: FastSet<InsnId> =
+        FastSet::with_capacity_and_hasher(func.insn_count(), Default::default());
     for b in func.blocks() {
         for (pos, insn) in b.insns.iter().enumerate() {
             if insn.id == InsnId::UNASSIGNED {
@@ -313,6 +315,33 @@ mod tests {
         assert!(validate(&f)
             .iter()
             .any(|e| matches!(e, ValidateError::DuplicateId(_))));
+    }
+
+    #[test]
+    fn structural_errors_keep_their_order() {
+        // Labels a, b, a, b; ids 0, 1, 0, unassigned, 1 in block order.
+        let mut f = Function::new("f");
+        let a = f.add_block("a");
+        let b = f.add_block("b");
+        let a2 = f.add_block("a");
+        f.add_block("b");
+        let i0 = f.push_insn(a, Insn::nop());
+        let i1 = f.push_insn(b, Insn::nop());
+        let dup0 = f.block(a).insns[0].clone();
+        let dup1 = f.block(b).insns[0].clone();
+        f.block_mut(a2).insns.push(dup0);
+        f.block_mut(a2).insns.push(Insn::nop());
+        f.block_mut(a2).insns.push(dup1);
+        assert_eq!(
+            validate(&f),
+            vec![
+                ValidateError::DuplicateLabel("a".into()),
+                ValidateError::DuplicateLabel("b".into()),
+                ValidateError::DuplicateId(i0),
+                ValidateError::UnassignedId(a2, 1),
+                ValidateError::DuplicateId(i1),
+            ]
+        );
     }
 
     #[test]

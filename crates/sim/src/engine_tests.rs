@@ -764,7 +764,7 @@ mod interp {
 mod turbo {
     use std::sync::Arc;
 
-    use sentinel_isa::{Insn, Reg};
+    use sentinel_isa::{Insn, Opcode, Reg};
     use sentinel_prog::ProgramBuilder;
 
     use crate::machine::Machine;
@@ -837,6 +837,47 @@ mod turbo {
         assert_eq!(io, to);
         assert!(matches!(to, RunOutcome::Trapped(_)));
         assert_eq!(interp.stats(), turbo.stats());
+    }
+
+    #[test]
+    fn scoreboard_slots_never_alias() {
+        // Paper latencies at issue 8, so only readiness delays issue:
+        //   c0  li r1; fli f2 (f2 ready 3)
+        //   c1  ld r0, 0(r1)       raw r0 ready 3
+        //   c3  addi r7, r0        waits for the load into r0
+        //       fdiv f5 (ready 13); addi r6, r5 (r5 never written)
+        //   c4  addi r300, r6      r300 is above the 64-register bank
+        //   c13 fadd f200, f5; halt
+        // 14 cycles. Numbering both banks from 0 would hold `addi r6, r5`
+        // behind the fdiv's f5 until c13, making it 15.
+        let mut b = ProgramBuilder::new("banks");
+        b.block("entry");
+        b.push(Insn::li(Reg::int(1), 0x1000));
+        b.push(Insn::fli(Reg::fp(2), 2.0));
+        b.push(Insn::ld_w(Reg::ZERO, Reg::int(1), 0));
+        b.push(Insn::addi(Reg::int(7), Reg::ZERO, 5));
+        b.push(Insn::alu(Opcode::FDiv, Reg::fp(5), Reg::fp(2), Reg::fp(2)));
+        b.push(Insn::addi(Reg::int(6), Reg::int(5), 1));
+        b.push(Insn::addi(Reg::int(300), Reg::int(6), 1));
+        b.push(Insn::alu(
+            Opcode::FAdd,
+            Reg::fp(200),
+            Reg::fp(5),
+            Reg::fp(2),
+        ));
+        b.push(Insn::halt());
+        let f = b.finish();
+        let cfg = SimConfig::for_mdes(paper_mdes(8));
+        let mut interp = Machine::create(&f, cfg.clone());
+        interp.memory_mut().map_region(0x1000, 64);
+        let mut turbo = turbo_for(&f, cfg);
+        turbo.memory_mut().map_region(0x1000, 64);
+        assert_eq!(interp.run().unwrap(), RunOutcome::Halted);
+        assert_eq!(turbo.run().unwrap(), RunOutcome::Halted);
+        assert_eq!(interp.stats(), turbo.stats());
+        assert_eq!(interp.stats().cycles, 14);
+        assert_eq!(interp.reg(Reg::int(300)).as_i64(), 2);
+        assert_eq!(turbo.reg(Reg::fp(200)).as_f64(), 3.0);
     }
 
     #[test]

@@ -57,7 +57,6 @@
 pub mod cache;
 pub mod except;
 pub mod exec;
-pub mod hash;
 pub mod memory;
 pub mod reference;
 pub mod regfile;
@@ -82,6 +81,7 @@ pub use progcache::ProgramCache;
 pub use regfile::{RegEvent, RegFile, TaggedValue};
 pub use sem::storebuf::{ConfirmOutcome, Entry, EntryState, SbError, SbEvent, StoreBuffer};
 pub use sem::{SpeculationSemantics, GARBAGE, INT_NAN};
+pub use sentinel_prog::hash;
 pub use session::{Engine, SimSession, SimSessionBuilder};
 pub use stats::Stats;
 pub use turbo::TurboProgram;

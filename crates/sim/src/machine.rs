@@ -21,8 +21,6 @@
 //!   frees a slot; a probationary head that can never release is the §4.2
 //!   deadlock and surfaces as [`SimError::StoreBuffer`].
 
-use std::collections::HashMap;
-
 use sentinel_isa::{BlockId, Insn, InsnId, MachineDesc, Opcode, Reg};
 use sentinel_prog::profile::Profile;
 use sentinel_prog::Function;
@@ -32,7 +30,7 @@ use crate::except::{ExceptionKind, PcHistoryQueue, Trap};
 use crate::exec::branch_taken;
 use crate::hash::FastMap;
 use crate::memory::Memory;
-use crate::regfile::{RegEvent, RegFile, TaggedValue};
+use crate::regfile::{RegBanks, RegEvent, RegFile, TaggedValue};
 use crate::sem::boost::ShadowState;
 use crate::sem::storebuf::{SbError, SbEvent, StoreBuffer};
 use crate::sem::{self, ArchState, SpeculationSemantics};
@@ -274,7 +272,11 @@ pub struct Machine<'a> {
     cycle: u64,
     slots_used: usize,
     branches_used: usize,
-    ready: HashMap<Reg, u64>,
+    /// Register numbering of `ready` (the same as turbo's decode).
+    banks: RegBanks,
+    /// Register scoreboard: the cycle each register's value is ready,
+    /// indexed by [`RegBanks::slot`].
+    ready: Vec<u64>,
 }
 
 // Compile-time guarantee that a machine (with or without an attached
@@ -290,18 +292,14 @@ const _: () = {
 impl<'a> Machine<'a> {
     /// Constructor for in-crate use ([`SimSession`]
     /// building an interpreter engine, differential tests). The register
-    /// file is sized to the larger of the machine description and the
-    /// registers the program actually names (so pre-allocation virtual
-    /// registers remain executable).
+    /// file and scoreboard are sized by [`RegBanks::new`].
     ///
     /// [`SimSession`]: crate::SimSession
     pub(crate) fn create(func: &'a Function, config: SimConfig) -> Machine<'a> {
-        let (mi, mf) = func.max_reg_indices();
-        let ints = config.mdes.int_regs().max(mi.map_or(0, |i| i as usize + 1));
-        let fps = config.mdes.fp_regs().max(mf.map_or(0, |i| i as usize + 1));
+        let banks = RegBanks::new(func, &config.mdes);
         Machine {
             func,
-            regs: RegFile::new(ints, fps),
+            regs: banks.file(),
             mem: Memory::new(),
             sb: StoreBuffer::new(config.mdes.store_buffer_size()),
             pcq: PcHistoryQueue::new(config.pc_history_depth),
@@ -318,7 +316,8 @@ impl<'a> Machine<'a> {
             sink_active: false,
             last_issue: 0,
             last_insn: InsnId(0),
-            ready: HashMap::new(),
+            banks,
+            ready: vec![0; banks.slots()],
             config,
         }
     }
@@ -681,7 +680,7 @@ impl<'a> Machine<'a> {
 
     fn src_ready_cycle(&self, insn: &Insn) -> u64 {
         insn.raw_srcs()
-            .map(|r| self.ready.get(&r).copied().unwrap_or(0))
+            .map(|r| self.ready[self.banks.slot(r)])
             .max()
             .unwrap_or(0)
     }
@@ -689,7 +688,7 @@ impl<'a> Machine<'a> {
     fn mark_dest_ready(&mut self, insn: &Insn, issue: u64) {
         if let Some(d) = insn.def() {
             let lat = self.config.mdes.latency(insn.op) as u64;
-            self.ready.insert(d, issue + lat);
+            self.ready[self.banks.slot(d)] = issue + lat;
         }
     }
 
@@ -701,7 +700,7 @@ impl<'a> Machine<'a> {
             sem::mem::LoadStep::Done { ready_at, raw } => {
                 let dest = if raw { insn.dest } else { insn.def() };
                 if let Some(d) = dest {
-                    self.ready.insert(d, ready_at);
+                    self.ready[self.banks.slot(d)] = ready_at;
                 }
                 Step::Continue
             }

@@ -1,6 +1,7 @@
 //! The exception-tagged register file (paper §3.2).
 
-use sentinel_isa::{InsnId, Reg, RegClass};
+use sentinel_isa::{InsnId, MachineDesc, Reg, RegClass};
+use sentinel_prog::Function;
 
 /// One architectural register: 64 data bits plus the exception tag.
 ///
@@ -68,6 +69,50 @@ pub enum RegEvent {
         /// Register whose tag was cleared.
         reg: Reg,
     },
+}
+
+/// The register-bank sizes a machine runs a function with, and the
+/// dense numbering both machines' scoreboards use: the int bank from 0,
+/// then the fp bank.
+///
+/// Each bank is the larger of the machine description and the registers
+/// the function names, so pre-allocation virtual registers and the high
+/// registers recovery renaming introduces stay executable. `r0` keeps
+/// slot 0: the load paths score their raw destination, `r0` included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RegBanks {
+    ints: usize,
+    fps: usize,
+}
+
+impl RegBanks {
+    /// The banks `func` needs on `mdes`.
+    pub(crate) fn new(func: &Function, mdes: &MachineDesc) -> RegBanks {
+        let (mi, mf) = func.max_reg_indices();
+        RegBanks {
+            ints: mdes.int_regs().max(mi.map_or(0, |i| i as usize + 1)),
+            fps: mdes.fp_regs().max(mf.map_or(0, |i| i as usize + 1)),
+        }
+    }
+
+    /// A clean register file of this shape.
+    pub(crate) fn file(self) -> RegFile {
+        RegFile::new(self.ints, self.fps)
+    }
+
+    /// Number of scoreboard slots (`ints + fps`).
+    pub(crate) fn slots(self) -> usize {
+        self.ints + self.fps
+    }
+
+    /// The scoreboard slot of `r`.
+    #[inline]
+    pub(crate) fn slot(self, r: Reg) -> usize {
+        match r.class() {
+            RegClass::Int => r.index() as usize,
+            RegClass::Fp => self.ints + r.index() as usize,
+        }
+    }
 }
 
 /// The register file: integer and floating-point banks, each register

@@ -10,11 +10,12 @@
 //!
 //! * **Decode once** — the interpreter walks the block graph as it
 //!   executes: every fallthrough re-scans the layout, every operand
-//!   probes a hashed scoreboard, and every issue re-derives the
-//!   opcode's latency and class. [`TurboProgram::new`] pays those costs
-//!   once: a flat instruction array in layout order with dense
-//!   scoreboard slots, pre-looked-up latencies, and pre-computed
-//!   branch/sentinel classification.
+//!   maps its register to a scoreboard slot, and every issue re-derives
+//!   the opcode's latency and class. [`TurboProgram::new`] pays those
+//!   costs once: a flat instruction array in layout order with
+//!   precomputed scoreboard slots (the interpreter's numbering),
+//!   pre-looked-up latencies, and pre-computed branch/sentinel
+//!   classification.
 //! * **Superblock trace chaining** — control transfers are pre-resolved
 //!   at decode time to flat indices plus the exact block-entry chains
 //!   the interpreter's profile would record, so the hot loop never
@@ -47,7 +48,7 @@
 
 use std::sync::Arc;
 
-use sentinel_isa::{BlockId, Insn, InsnId, MachineDesc, OpClass, Opcode, Reg, RegClass};
+use sentinel_isa::{BlockId, Insn, InsnId, MachineDesc, OpClass, Opcode, Reg};
 use sentinel_prog::profile::Profile;
 use sentinel_prog::Function;
 use sentinel_trace::StallReason;
@@ -56,7 +57,7 @@ use crate::except::{ExceptionKind, PcHistoryQueue, Trap};
 use crate::exec::branch_taken;
 use crate::hash::FastMap;
 use crate::memory::Memory;
-use crate::regfile::{RegFile, TaggedValue};
+use crate::regfile::{RegBanks, RegFile, TaggedValue};
 use crate::sem::boost::ShadowState;
 use crate::sem::storebuf::StoreBuffer;
 use crate::sem::{self, ArchState};
@@ -210,10 +211,8 @@ pub struct TurboProgram {
     resolutions: Vec<Resolution>,
     /// Resolution for entering the function at its entry block.
     entry: u32,
-    /// Number of integer scoreboard slots (fp registers follow).
-    int_slots: usize,
-    /// Total scoreboard slots (`int + fp`).
-    slots: usize,
+    /// Register-file shape and scoreboard numbering.
+    banks: RegBanks,
     /// Flat index of every instruction id (recovery resume targets).
     flat_of: FastMap<InsnId, u32>,
 }
@@ -222,15 +221,8 @@ impl TurboProgram {
     /// Lowers `func` for execution on `mdes`: flattens the layout,
     /// chains control transfers, and marks fusible micro-op pairs.
     pub fn new(func: &Function, mdes: &MachineDesc) -> TurboProgram {
-        let (mi, mf) = func.max_reg_indices();
-        let int_slots = mdes.int_regs().max(mi.map_or(0, |i| i as usize + 1));
-        let fp_slots = mdes.fp_regs().max(mf.map_or(0, |i| i as usize + 1));
-        let reg_index = |r: Reg| -> u32 {
-            match r.class() {
-                RegClass::Int => r.index() as u32,
-                RegClass::Fp => (int_slots + r.index() as usize) as u32,
-            }
-        };
+        let banks = RegBanks::new(func, mdes);
+        let reg_index = |r: Reg| banks.slot(r) as u32;
 
         // Flatten: layout blocks (first occurrence), then non-layout
         // blocks, recording each block's first flat instruction index.
@@ -377,8 +369,7 @@ impl TurboProgram {
             meta,
             resolutions,
             entry: enter_res[func.entry().0 as usize],
-            int_slots,
-            slots: int_slots + fp_slots,
+            banks,
             flat_of,
         }
     }
@@ -472,9 +463,9 @@ impl TurboMachine {
     /// Register-file sizing matches the interpreter: the larger of the
     /// machine description and the registers the program names.
     pub fn new(prog: Arc<TurboProgram>, config: SimConfig) -> TurboMachine {
-        let fp_slots = prog.slots - prog.int_slots;
+        let slots = prog.banks.slots();
         TurboMachine {
-            regs: RegFile::new(prog.int_slots, fp_slots),
+            regs: prog.banks.file(),
             mem: Memory::new(),
             sb: StoreBuffer::new(config.mdes.store_buffer_size()),
             pcq: PcHistoryQueue::new(config.pc_history_depth),
@@ -486,10 +477,10 @@ impl TurboMachine {
             cycle: 0,
             slots_used: 0,
             branches_used: 0,
-            ready: vec![0; prog.slots],
+            ready: vec![0; slots],
             // At least one word so the combined pre-test's unconditional
             // `[rm_w]` loads (0 for absent sources) stay in bounds.
-            ready_mask: vec![0; prog.slots.div_ceil(64).max(1)],
+            ready_mask: vec![0; slots.div_ceil(64).max(1)],
             issue_width: config.mdes.issue_width(),
             branches_per_cycle: config.mdes.branches_per_cycle(),
             res_counts: vec![0; prog.resolutions.len()],
@@ -1228,15 +1219,17 @@ mod tests {
         b.push(Insn::halt());
         let f = b.finish();
         let p = TurboProgram::new(&f, &mdes());
+        // The fp bank follows the whole int bank of the description.
+        let ints = mdes().int_regs();
         assert_eq!(p.meta[0].src1, 1);
         assert_eq!(p.meta[0].dest, 3);
-        assert_eq!(p.meta[1].src1 as usize, p.int_slots + 1);
-        assert_eq!(p.meta[1].dest as usize, p.int_slots + 4);
+        assert_eq!(p.meta[1].src1 as usize, ints + 1);
+        assert_eq!(p.meta[1].dest as usize, ints + 4);
         // r0 def is filtered, but the raw dest index survives for the
         // load-path scoreboard writes.
         assert_eq!(p.meta[2].dest, NONE);
         assert_eq!(p.meta[2].raw_dest, 0);
-        assert!(p.slots > p.int_slots);
+        assert_eq!(p.banks.slots(), ints + mdes().fp_regs());
     }
 
     #[test]

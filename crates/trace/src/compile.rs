@@ -29,37 +29,3 @@ pub struct IrDelta {
     /// Instructions newly carrying the speculative modifier.
     pub marked_speculative: usize,
 }
-
-impl IrDelta {
-    /// Whether the run changed nothing it measures.
-    pub fn is_empty(&self) -> bool {
-        *self == IrDelta::default()
-    }
-}
-
-impl std::fmt::Display for IrDelta {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "+{} -{} insns, +{} speculative",
-            self.insns_added, self.insns_removed, self.marked_speculative
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delta_display_and_emptiness() {
-        assert!(IrDelta::default().is_empty());
-        let d = IrDelta {
-            insns_added: 1,
-            insns_removed: 2,
-            marked_speculative: 3,
-        };
-        assert!(!d.is_empty());
-        assert_eq!(d.to_string(), "+1 -2 insns, +3 speculative");
-    }
-}
