@@ -1,9 +1,12 @@
 //! The scheduler's output, pinned.
 //!
 //! Every schedule point `reproduce all` compiles, the ×2/×4-unrolled
-//! programs of ablation A6, and a few seeded generated programs built
-//! the way the serve benchmark's `/v1/compile` stream builds them are
-//! compiled here, and each scheduled function is reduced to one line:
+//! programs of ablation A6, a few seeded generated programs built the
+//! way the serve benchmark's `/v1/compile` stream builds them, and a set
+//! of stress blocks the suite never reaches (Figure 3, seeded random
+//! blocks with `jsr`/`io` barriers and self-overwrites, and two
+//! 511-instruction blocks at serve's block limit) are compiled here, and
+//! each scheduled function is reduced to one line:
 //! the point, the FNV-1a hash of its `asm::print` text, and its
 //! [`SchedStats`]. The lines must match `tests/golden/schedules.txt`.
 //! The same loop pins each compile's [`PassLog`] in
@@ -22,9 +25,9 @@
 use sentinel_bench::grid::Cell;
 use sentinel_bench::runner::{prepare, MeasureConfig};
 use sentinel_core::{CompileSession, PassLog, SchedOptions, SchedStats, SchedulingModel};
-use sentinel_isa::MachineDesc;
+use sentinel_isa::{Insn, MachineDesc, Opcode, Reg};
 use sentinel_prog::superblock::unroll_all_loops;
-use sentinel_prog::{asm, Function};
+use sentinel_prog::{asm, examples, Function, ProgramBuilder};
 use sentinel_spec::{fnv64, model_str};
 use sentinel_workloads::{generate, suite, Rng, Workload};
 
@@ -158,6 +161,140 @@ fn compile_generated(spec_index: usize, n: u64) -> Lines {
     line(&point, &scheduled.func, &scheduled.stats, session.log())
 }
 
+/// Seeded random superblocks among the stress blocks.
+const RANDOM_BLOCKS: u64 = 32;
+
+/// One superblock of `n` × (`addi`, `ld`, `beq … exit`): `n` = 170 is the
+/// 511-instruction block serve's block-limit test compiles.
+fn ld_beq_chain(n: usize) -> Function {
+    let mut src = String::from("func @ld_beq_chain {\nentry:\n");
+    for _ in 0..n {
+        src.push_str("    addi r1, r1, 8\n    ld r2, 0(r1)\n    beq r2, r0, exit\n");
+    }
+    src.push_str("    halt\nexit:\n    halt\n}\n");
+    asm::parse(&src).expect("chain parses")
+}
+
+/// One superblock of `n` × (`st` on base r1, `ld` on base r2): every
+/// load may alias every earlier store.
+fn st_ld_block(n: usize) -> Function {
+    let mut src = String::from("func @st_ld {\nentry:\n");
+    for k in 0..n {
+        src.push_str(&format!(
+            "    st r{}, {}(r1)\n    ld r{}, {}(r2)\n",
+            4 + k % 8,
+            8 * k,
+            4 + (k + 1) % 8,
+            8 * k
+        ));
+    }
+    src.push_str("    halt\n}\n");
+    asm::parse(&src).expect("block parses")
+}
+
+/// A seeded random superblock over eight registers: conditional side
+/// exits to two blocks with different live-in sets, `jsr` and `io`
+/// barriers, loads and stores on three bases, `div`, and self-overwriting
+/// `mov`, `addi` and `ld` (the last never renamable under recovery).
+fn random_block(seed: u64) -> Function {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut b = ProgramBuilder::new(format!("rand{seed}"));
+    let entry = b.block("entry");
+    let exits = [b.block("exit0"), b.block("exit1")];
+    b.switch_to(entry);
+    let reg = |rng: &mut Rng| Reg::int(1 + rng.gen_below(8) as u16);
+    for _ in 0..rng.gen_range_usize(8, 48) {
+        let insn = match rng.gen_below(16) {
+            0..=2 => {
+                let op =
+                    [Opcode::Beq, Opcode::Bne, Opcode::Blt, Opcode::Bge][rng.gen_below(4) as usize];
+                let target = exits[rng.gen_below(2) as usize];
+                Insn::branch(op, reg(&mut rng), Reg::ZERO, target)
+            }
+            3 => Insn::jsr(),
+            4 => Insn::io(),
+            5 | 6 => {
+                let base = Reg::int(9 + rng.gen_below(3) as u16);
+                Insn::ld_w(reg(&mut rng), base, 8 * rng.gen_below(4) as i64)
+            }
+            7 | 8 => {
+                let base = Reg::int(9 + rng.gen_below(3) as u16);
+                Insn::st_w(reg(&mut rng), base, 8 * rng.gen_below(4) as i64)
+            }
+            9 => Insn::alu(Opcode::Div, reg(&mut rng), reg(&mut rng), reg(&mut rng)),
+            10 => {
+                let r = reg(&mut rng);
+                Insn::mov(r, r)
+            }
+            11 | 12 => {
+                let r = reg(&mut rng);
+                Insn::addi(r, r, 8)
+            }
+            13 => {
+                let r = reg(&mut rng);
+                Insn::ld_w(r, r, 0)
+            }
+            _ => Insn::alu(Opcode::Add, reg(&mut rng), reg(&mut rng), reg(&mut rng)),
+        };
+        b.push(insn);
+    }
+    b.push(Insn::halt());
+    b.switch_to(exits[0]);
+    b.push(Insn::alu(
+        Opcode::Add,
+        Reg::int(12),
+        Reg::int(1),
+        Reg::int(2),
+    ));
+    b.push(Insn::halt());
+    b.switch_to(exits[1]);
+    b.push(Insn::st_w(Reg::int(3), Reg::int(4), 0));
+    b.push(Insn::halt());
+    b.finish()
+}
+
+/// Each stress block under every model (boosting at depths 1, 2, 4 and
+/// 16), at issue widths 1, 8 and 64, with recovery off and on.
+fn compile_stress(name: &str, func: &Function, out: &mut Rendered) {
+    let models = [
+        R,
+        G,
+        S,
+        T,
+        SchedulingModel::Boosting(1),
+        SchedulingModel::Boosting(2),
+        SchedulingModel::Boosting(4),
+        SchedulingModel::Boosting(16),
+    ];
+    for model in models {
+        for width in [1, 8, 64] {
+            for recovery in [false, true] {
+                let mut opts = SchedOptions::new(model);
+                if recovery {
+                    opts = opts.with_recovery();
+                }
+                let point = format!(
+                    "stress {name} [{} x{width}{}]",
+                    model_str(model),
+                    if recovery { " +recovery" } else { "" }
+                );
+                let mdes = MachineDesc::paper_issue(width);
+                let mut session = CompileSession::for_function(func)
+                    .mdes(&mdes)
+                    .options(opts)
+                    .build();
+                let scheduled = session.run().unwrap_or_else(|e| panic!("{point}: {e}"));
+                out.push(line(
+                    &point,
+                    &scheduled.func,
+                    &scheduled.stats,
+                    session.log(),
+                ));
+            }
+        }
+    }
+}
+
 /// The renderings of both golden files: schedules, then pass logs.
 #[derive(Default)]
 struct Rendered {
@@ -193,6 +330,12 @@ fn render() -> Rendered {
             out.push(compile_generated(spec_index, n));
         }
     }
+    compile_stress("figure3", &examples::figure3(), &mut out);
+    for seed in 0..RANDOM_BLOCKS {
+        compile_stress(&format!("rand{seed:02}"), &random_block(seed), &mut out);
+    }
+    compile_stress("ld_beq_chain", &ld_beq_chain(170), &mut out);
+    compile_stress("st_ld", &st_ld_block(255), &mut out);
     out
 }
 
@@ -262,6 +405,8 @@ fn grid_points_are_the_374_reproduce_all_compiles() {
     let count = |prefix: &str| golden.lines().filter(|l| l.starts_with(prefix)).count();
     assert_eq!(count("grid "), 374);
     assert_eq!(count("unroll "), 34);
+    // Figure 3, the random blocks and the two big blocks, 48 points each.
+    assert_eq!(count("stress "), (3 + RANDOM_BLOCKS as usize) * 48);
     // The pass-log file names the same points in the same order.
     let labels = |text: &'static str, sep: &str| -> Vec<&'static str> {
         text.lines().map(|l| l.split(sep).next().unwrap()).collect()
