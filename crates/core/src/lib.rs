@@ -3,10 +3,13 @@
 //! This crate implements the compile-time half of *Sentinel Scheduling for
 //! VLIW and Superscalar Processors* (Mahlke et al., ASPLOS 1992):
 //!
-//! * [`depgraph`] — superblock dependence graphs (register, memory,
-//!   control, and ordering dependences),
+//! * [`depgraph`] — superblock dependence graphs: register and memory
+//!   edges, plus two bounds per instruction (the branches or barriers
+//!   around it) standing for control and ordering dependences,
 //! * [`reduction`] — the Appendix algorithm: control-dependence removal
-//!   per scheduling model plus protected/unprotected marking,
+//!   per scheduling model, by lowering each instruction's bound past the
+//!   branches it may be speculated above, plus protected/unprotected
+//!   marking,
 //! * [`list`] — the modified list scheduler that sets speculative
 //!   modifiers and inserts `check_exception` / `confirm_store` sentinels
 //!   into home blocks (§3.3, §4.2),

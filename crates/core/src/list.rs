@@ -2,7 +2,9 @@
 //!
 //! A priority list scheduler over the reduced dependence graph:
 //! critical-path-height priorities, issue-width and one-branch-per-cycle
-//! resource constraints, and operand-ready times from edge latencies.
+//! resource constraints, and operand-ready times from edge latencies. A
+//! node is ready once its edge sources, its [floor](DepGraph::floor) and
+//! every node whose [ceil](DepGraph::ceil) it is have issued.
 //!
 //! The sentinel extension happens at issue time: when an instruction
 //! issues *above* a branch that originally preceded it, its speculative
@@ -91,10 +93,25 @@ pub fn schedule_block(
     // Priorities: critical-path heights over the reduced graph.
     let mut priority: Vec<u64> = g.heights(|i| mdes.latency(i.op));
 
-    // Scheduling state (grows when sentinels are inserted).
+    // Scheduling state (grows when sentinels are inserted). `pending`
+    // counts each node's unissued predecessors: edge sources and bounds.
     let mut sched: Vec<Option<u64>> = vec![None; g.len()];
     let mut earliest: Vec<u64> = vec![0; g.len()];
-    let mut pending: Vec<usize> = (0..g.len()).map(|i| g.preds(i).len()).collect();
+    let mut pending: Vec<usize> = vec![0; g.len()];
+    // The nodes whose floor each node is.
+    let mut floored: Vec<Vec<usize>> = vec![Vec::new(); orig_n];
+    for i in 0..orig_n {
+        for e in g.succs(i) {
+            pending[e.to] += 1;
+        }
+        if let Some(c) = g.ceil(i) {
+            pending[c] += 1;
+        }
+        if let Some(f) = g.floor(i) {
+            floored[f].push(i);
+            pending[i] += 1;
+        }
+    }
 
     // Ready list: the unscheduled nodes with no pending predecessor. An
     // entry goes stale when its node issues or gains a predecessor (a
@@ -309,12 +326,25 @@ pub fn schedule_block(
             }
         }
 
-        // Release successors.
+        // Release successors: edge targets, then at latency 0 an original
+        // node's ceil and the nodes whose floor it is.
+        let mut release = |to: usize, latency: u64| {
+            earliest[to] = earliest[to].max(cycle + latency);
+            pending[to] -= 1;
+            if pending[to] == 0 {
+                ready.push(to);
+            }
+        };
         for e in g.succs(node) {
-            earliest[e.to] = earliest[e.to].max(cycle + e.latency as u64);
-            pending[e.to] -= 1;
-            if pending[e.to] == 0 {
-                ready.push(e.to);
+            release(e.to, e.latency as u64);
+        }
+        if node < orig_n {
+            for to in g
+                .ceil(node)
+                .into_iter()
+                .chain(floored[node].iter().copied())
+            {
+                release(to, 0);
             }
         }
     }
