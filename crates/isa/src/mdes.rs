@@ -146,6 +146,15 @@ impl MachineDesc {
     /// issue rate (§5.1).
     pub const PAPER_STORE_BUFFER: usize = 8;
 
+    /// The most registers of one class a machine may have: a register
+    /// index is a `u16`.
+    pub const MAX_REGS: usize = 1 << 16;
+
+    /// The most store-buffer entries a machine may have. The paper's
+    /// sweeps stop at 32; the simulator allocates the buffer up front,
+    /// and this many entries take a few MiB.
+    pub const MAX_STORE_BUFFER: usize = 1 << 16;
+
     /// The paper's machine at a given issue rate (1, 2, 4, or 8 in the
     /// paper; any positive width is accepted for sweeps).
     ///
