@@ -87,17 +87,18 @@ pub fn print_insn(func: &Function, insn: &Insn) -> String {
     }
 }
 
-/// Parses a register token such as `r4` or `f12`.
-fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
-    let (class, rest) = tok.split_at(1);
-    let index: u16 = rest
-        .parse()
-        .map_err(|_| err(line, format!("bad register '{tok}'")))?;
-    match class {
-        "r" => Ok(Reg::int(index)),
-        "f" => Ok(Reg::fp(index)),
-        _ => Err(err(line, format!("bad register '{tok}'"))),
+/// Parses a register name such as `r4` or `f12`, or `None` if `tok` is
+/// not one.
+pub fn parse_reg(tok: &str) -> Option<Reg> {
+    match tok.strip_prefix('r') {
+        Some(index) => index.parse().ok().map(Reg::int),
+        None => tok.strip_prefix('f')?.parse().ok().map(Reg::fp),
     }
+}
+
+/// [`parse_reg`] with a line-numbered error.
+fn reg_at(tok: &str, line: usize) -> Result<Reg, ParseError> {
+    parse_reg(tok).ok_or_else(|| err(line, format!("bad register '{tok}'")))
 }
 
 fn parse_imm(tok: &str, line: usize) -> Result<i64, ParseError> {
@@ -123,7 +124,7 @@ fn parse_mem_operand(tok: &str, line: usize) -> Result<(i64, Reg), ParseError> {
         return Err(err(line, format!("bad memory operand '{tok}'")));
     }
     let imm = parse_imm(&tok[..open], line)?;
-    let base = parse_reg(&tok[open + 1..tok.len() - 1], line)?;
+    let base = reg_at(&tok[open + 1..tok.len() - 1], line)?;
     Ok((imm, base))
 }
 
@@ -198,7 +199,7 @@ pub fn parse(text: &str) -> Result<Function, ParseError> {
         }
         if let Some(rest) = code.strip_prefix(".noalias") {
             for tok in rest.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                let reg = parse_reg(tok, line)?;
+                let reg = reg_at(tok, line)?;
                 f.declare_noalias(reg);
             }
             continue;
@@ -285,7 +286,7 @@ fn parse_operands(
 
     if op.is_mem() {
         // `mnemonic reg, imm(base)`.
-        let reg = parse_reg(next(line)?, line)?;
+        let reg = reg_at(next(line)?, line)?;
         let (imm, base) = parse_mem_operand(next(line)?, line)?;
         if op.is_load() {
             insn.dest = Some(reg);
@@ -298,16 +299,16 @@ fn parse_operands(
         if op == CheckExcept {
             // `check rs` — single visible operand; dest is implicit r0.
             insn.dest = Some(Reg::ZERO);
-            insn.src1 = Some(parse_reg(next(line)?, line)?);
+            insn.src1 = Some(reg_at(next(line)?, line)?);
         } else {
             if dreq != Req::None {
-                insn.dest = Some(parse_reg(next(line)?, line)?);
+                insn.dest = Some(reg_at(next(line)?, line)?);
             }
             if s1req != Req::None {
-                insn.src1 = Some(parse_reg(next(line)?, line)?);
+                insn.src1 = Some(reg_at(next(line)?, line)?);
             }
             if s2req != Req::None {
-                insn.src2 = Some(parse_reg(next(line)?, line)?);
+                insn.src2 = Some(reg_at(next(line)?, line)?);
             }
         }
         if has_imm(op) {
@@ -446,6 +447,20 @@ exit:
         assert!(e.message.contains("missing operand"));
         let e = parse("func @f {\nentry:\n    nop r1\n}\n").unwrap_err();
         assert!(e.message.contains("too many operands"));
+    }
+
+    #[test]
+    fn error_bad_register() {
+        for (text, line, tok) in [
+            ("func @f {\ne:\n    ld r1, 0()\n}\n", 3, ""),
+            ("func @f {\ne:\n    add é1, r2, r3\n}\n", 3, "é1"),
+            ("func @f {\n.noalias é\ne:\n    halt\n}\n", 2, "é"),
+            ("func @f {\ne:\n    mov x1, r2\n}\n", 3, "x1"),
+        ] {
+            let e = parse(text).unwrap_err();
+            assert_eq!(e.line, line, "{text}");
+            assert_eq!(e.message, format!("bad register '{tok}'"), "{text}");
+        }
     }
 
     #[test]

@@ -818,7 +818,7 @@ mod turbo {
     }
 
     #[test]
-    fn deferred_exception_matches_and_lds_check_fuses() {
+    fn deferred_exception_matches() {
         let mut b = ProgramBuilder::new("defer");
         b.block("entry");
         b.push(Insn::li(Reg::int(1), 0xdead0));
@@ -827,11 +827,8 @@ mod turbo {
         b.push(Insn::halt());
         let f = b.finish();
         let cfg = SimConfig::default();
-        let prog = TurboProgram::new(&f, &cfg.mdes);
-        // The ld.s + check idiom dispatches as one fused step.
-        assert!(prog.fused_pairs() >= 1, "expected an LdsCheck fusion");
         let mut interp = Machine::create(&f, cfg.clone());
-        let mut turbo = TurboMachine::new(Arc::new(prog), cfg);
+        let mut turbo = turbo_for(&f, cfg);
         let io = interp.run().unwrap();
         let to = turbo.run().unwrap();
         assert_eq!(io, to);

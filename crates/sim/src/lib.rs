@@ -11,7 +11,7 @@
 //!   [`Engine::Interpreter`] is the block-walking [`Machine`], the
 //!   oracle; [`Engine::Fast`] (the default) and [`Engine::Turbo`] run
 //!   the compiled machine over an owned decode ([`TurboProgram`]) with
-//!   chained traces and fused micro-op pairs — `Turbo` is the label
+//!   chained traces — `Turbo` is the label
 //!   whose decode callers share across sessions through a
 //!   [`ProgramCache`]. Traced sessions run on the interpreter whatever
 //!   their label. Both machines route every architectural rule through

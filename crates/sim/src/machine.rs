@@ -387,6 +387,11 @@ impl<'a> Machine<'a> {
         self.regs.read(r)
     }
 
+    /// Register-bank sizes `(int, fp)`.
+    pub(crate) fn reg_sizes(&self) -> (usize, usize) {
+        self.regs.sizes()
+    }
+
     /// The memory.
     pub fn memory(&self) -> &Memory {
         &self.mem

@@ -257,8 +257,19 @@ impl<'a> SimSession<'a> {
     }
 
     /// Reads a register with its tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is past its bank (see [`SimSession::reg_sizes`]).
     pub fn reg(&self, r: Reg) -> TaggedValue {
         delegate!(self, reg, r)
+    }
+
+    /// Register-bank sizes `(int, fp)` the session runs with: each bank
+    /// is the larger of the machine description's and the registers the
+    /// function names.
+    pub fn reg_sizes(&self) -> (usize, usize) {
+        delegate!(self, reg_sizes)
     }
 
     /// The memory.

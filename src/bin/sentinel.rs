@@ -92,16 +92,23 @@ fn parse_model(s: &str) -> SchedulingModel {
     sentinel::spec::parse_model_name(s).unwrap_or_else(|e| fail(&e.to_string()))
 }
 
-fn parse_reg(s: &str) -> Reg {
-    let (class, idx) = s.split_at(1);
-    let index: u16 = idx
-        .parse()
-        .unwrap_or_else(|_| fail(&format!("bad register '{s}'")));
-    match class {
-        "r" => Reg::int(index),
-        "f" => Reg::fp(index),
-        _ => fail(&format!("bad register '{s}'")),
+/// The register `tok` names in `--flag`, checked against the banks the
+/// session runs with.
+fn session_reg(m: &SimSession<'_>, flag: &str, tok: &str) -> Reg {
+    let r = asm::parse_reg(tok)
+        .unwrap_or_else(|| fail(&format!("--{flag}: bad register '{tok}' (want rN or fN)")));
+    let (ints, fps) = m.reg_sizes();
+    let (bank, size) = if r.is_fp() {
+        ("fp", fps)
+    } else {
+        ("int", ints)
+    };
+    if usize::from(r.index()) >= size {
+        fail(&format!(
+            "--{flag} {tok}: the {bank} bank has {size} registers"
+        ));
     }
+    r
 }
 
 struct Args {
@@ -510,7 +517,8 @@ fn apply_machine_flags(args: &Args, m: &mut SimSession<'_>) {
         let (reg, val) = spec
             .split_once('=')
             .unwrap_or_else(|| fail(&format!("bad --reg '{spec}' (want rN=VAL)")));
-        m.set_reg(parse_reg(reg), parse_num(val) as u64);
+        let r = session_reg(m, "reg", reg);
+        m.set_reg(r, parse_num(val) as u64);
     }
 }
 
@@ -527,6 +535,11 @@ fn cmd_run(args: &Args) {
     cfg.collect_trace = args.has("trace");
     let mut m = SimSession::for_function(&f).config(cfg).build();
     apply_machine_flags(args, &mut m);
+    let prints: Vec<Reg> = args
+        .all("print")
+        .into_iter()
+        .map(|tok| session_reg(&m, "print", tok))
+        .collect();
     let result = m.run();
     for event in m.trace() {
         println!("{event}");
@@ -545,8 +558,7 @@ fn cmd_run(args: &Args) {
         }
         Err(e) => fail(&format!("simulation: {e}")),
     }
-    for spec in args.all("print") {
-        let r = parse_reg(spec);
+    for r in prints {
         let v = m.reg(r);
         if v.tag {
             println!("{r} = [exception tag, pc={}]", v.as_pc());

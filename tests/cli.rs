@@ -153,23 +153,62 @@ fn run_reports_precise_trap() {
 
 #[test]
 fn a_bad_memory_region_is_an_error_not_a_panic() {
+    // Every machine flag (`--map`, `--reg`, `--print`) of `run` and
+    // `trace`; the demo names no register past r5, so each bank has the
+    // paper machine's 64.
     let dir = tmpdir("badmap");
     let p = write_demo(&dir);
-    for (map, named) in [
-        ("0x1000:0", "map region 0x1000:0x0 is empty"),
-        ("-64:64", "map region 0xffffffffffffffc0:0x40 wraps"),
+    let p = p.to_str().unwrap();
+    let map = "0x1000:0x400";
+    for (flags, named) in [
+        (
+            &["run", p, "--map", "0x1000:0"][..],
+            "map region 0x1000:0x0 is empty",
+        ),
+        (
+            &["run", p, "--map", "-64:64"],
+            "map region 0xffffffffffffffc0:0x40 wraps",
+        ),
+        (
+            &["run", p, "--map", map, "--reg", "r100=5"],
+            "--reg r100: the int bank has 64 registers",
+        ),
+        (
+            &["run", p, "--map", map, "--reg", "=5"],
+            "--reg: bad register ''",
+        ),
+        (
+            &["run", p, "--map", map, "--print", "r100"],
+            "--print r100: the int bank has 64 registers",
+        ),
+        (
+            &["run", p, "--map", map, "--print", "f64"],
+            "--print f64: the fp bank has 64 registers",
+        ),
+        (
+            &["trace", p, "--map", map, "--reg", "r64=1"],
+            "--reg r64: the int bank has 64 registers",
+        ),
     ] {
-        let out = bin()
-            .args(["run", p.to_str().unwrap(), "--map", map])
-            .output()
-            .unwrap();
+        let out = bin().args(flags).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "--map {map}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
         assert!(
             stderr.starts_with("error: ") && stderr.contains(named),
-            "--map {map}: {stderr}"
+            "{flags:?}: {stderr}"
         );
     }
+    // The last register of a bank is in range.
+    let out = bin()
+        .args(["run", p, "--map", map, "--reg", "r63=7", "--print", "r63"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("r63 = 7"));
 }
 
 #[test]
