@@ -15,6 +15,11 @@
 //! ```
 //!
 //! Branch targets are block labels; the parser resolves forward references.
+//!
+//! An integer immediate is an optional `-`, then either `0x` and hex
+//! digits or decimal digits, and must fit in an `i64` ([`parse_imm`]).
+//! The printer writes immediates in decimal, so every printed value,
+//! `i64::MIN` included, parses back to itself.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -101,18 +106,32 @@ fn reg_at(tok: &str, line: usize) -> Result<Reg, ParseError> {
     parse_reg(tok).ok_or_else(|| err(line, format!("bad register '{tok}'")))
 }
 
-fn parse_imm(tok: &str, line: usize) -> Result<i64, ParseError> {
+/// Parses an integer immediate in the module's grammar: an optional
+/// `-`, then `0x` and hex digits or decimal digits, within `i64`. `None`
+/// for anything else, such as `+7`, `--5` or `0x-5`.
+pub fn parse_imm(tok: &str) -> Option<i64> {
     let (neg, body) = match tok.strip_prefix('-') {
         Some(b) => (true, b),
         None => (false, tok),
     };
-    let v = if let Some(hex) = body.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16)
-    } else {
-        body.parse()
+    let (digits, radix) = match body.strip_prefix("0x") {
+        Some(hex) => (hex, 16),
+        None => (body, 10),
+    };
+    if !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
     }
-    .map_err(|_| err(line, format!("bad immediate '{tok}'")))?;
-    Ok(if neg { -v } else { v })
+    let magnitude = u64::from_str_radix(digits, radix).ok()?;
+    if neg {
+        0i64.checked_sub_unsigned(magnitude)
+    } else {
+        i64::try_from(magnitude).ok()
+    }
+}
+
+/// [`parse_imm`] with a line-numbered error.
+fn imm_at(tok: &str, line: usize) -> Result<i64, ParseError> {
+    parse_imm(tok).ok_or_else(|| err(line, format!("bad immediate '{tok}'")))
 }
 
 /// `imm(base)` memory operand.
@@ -123,7 +142,7 @@ fn parse_mem_operand(tok: &str, line: usize) -> Result<(i64, Reg), ParseError> {
     if !tok.ends_with(')') {
         return Err(err(line, format!("bad memory operand '{tok}'")));
     }
-    let imm = parse_imm(&tok[..open], line)?;
+    let imm = imm_at(&tok[..open], line)?;
     let base = reg_at(&tok[open + 1..tok.len() - 1], line)?;
     Ok((imm, base))
 }
@@ -319,7 +338,7 @@ fn parse_operands(
                     .map_err(|_| err(line, format!("bad float immediate '{tok}'")))?;
                 insn.imm = v.to_bits() as i64;
             } else {
-                insn.imm = parse_imm(next(line)?, line)?;
+                insn.imm = imm_at(next(line)?, line)?;
             }
         }
         if needs_target {
@@ -414,6 +433,46 @@ exit:
         assert_eq!(insns[0].imm, 0x1000);
         assert_eq!(insns[1].imm, -8);
         assert_eq!(insns[2].imm, 16);
+    }
+
+    #[test]
+    fn i64_bounds_roundtrip() {
+        let text = "func @f {\ne:\n    li r1, -9223372036854775808\n    li r2, 9223372036854775807\n    st r1, -9223372036854775808(r2)\n    halt\n}\n";
+        let f = parse(text).unwrap();
+        let insns = &f.block(f.entry()).insns;
+        assert_eq!(insns[0].imm, i64::MIN);
+        assert_eq!(insns[1].imm, i64::MAX);
+        assert_eq!(insns[2].imm, i64::MIN);
+        assert_eq!(print(&f), text, "print∘parse must be a fixpoint");
+        assert_eq!(parse_imm("-0x8000000000000000"), Some(i64::MIN));
+    }
+
+    #[test]
+    fn error_bad_immediate() {
+        for tok in [
+            "--5",
+            "+7",
+            "0x-5",
+            "0x+5",
+            "--9223372036854775808",
+            "9223372036854775808",
+            "-9223372036854775809",
+            "0x",
+            "-",
+            "1_000",
+        ] {
+            for (text, line) in [
+                (format!("func @f {{\ne:\n    li r1, {tok}\n}}\n"), 3),
+                (
+                    format!("func @f {{\ne:\n    nop\n    ld r1, {tok}(r2)\n}}\n"),
+                    4,
+                ),
+            ] {
+                let e = parse(&text).unwrap_err();
+                assert_eq!(e.line, line, "{text}");
+                assert_eq!(e.message, format!("bad immediate '{tok}'"), "{text}");
+            }
+        }
     }
 
     #[test]

@@ -538,8 +538,9 @@ impl ApiRequest {
     /// shared [`SimProgramCache`]: jobs with the same schedule point
     /// (program, model, width, recovery, store buffer — the engine does
     /// *not* split the key) share one compile, and one turbo decode,
-    /// per process. The response bytes are identical with or without
-    /// the cache.
+    /// while the point stays cached. The server sizes its cache to one
+    /// batch, so a batch compiles each of its points once. The response
+    /// bytes are identical with or without the cache.
     ///
     /// # Errors
     ///
@@ -867,10 +868,12 @@ fn compile_response(req: &CompileRequest) -> Result<String, ApiError> {
 }
 
 /// The decoded-program cache the service's workers share, keyed by
-/// [`JobSpec::schedule_hash`]. One [`Prepared`] serves fast, turbo and
-/// interpreter requests for the same schedule point alike. Compile
-/// failures are cached too — a replayed unschedulable job answers the
-/// same 400 without re-scheduling.
+/// [`JobSpec::schedule_hash`] and holding as many entries as a batch
+/// holds jobs. One [`Prepared`] serves fast, turbo and interpreter
+/// requests for the same schedule point alike, so a batch compiles each
+/// of its points once; repeats over time are the response cache's job.
+/// Compile failures are cached too — an unschedulable job repeated
+/// while cached answers the same 400 without re-scheduling.
 pub type SimProgramCache = ProgramCache<Result<Prepared, ApiError>>;
 
 /// Simulates a request end to end (schedule, then run) and serializes

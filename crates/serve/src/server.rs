@@ -110,9 +110,10 @@ pub struct Handler {
     metrics: SharedMetrics,
     cache: Arc<ResponseCache>,
     /// Decoded-program cache shared by every worker, keyed by schedule
-    /// hash: each distinct (program, model, width, recovery,
-    /// store-buffer) point is compiled — and, for turbo requests,
-    /// decoded — exactly once per process, across engines and replays.
+    /// hash and holding `batch_max_jobs` entries: each distinct
+    /// (program, model, width, recovery, store-buffer) point of a batch
+    /// is compiled — and, for turbo requests, decoded — once across the
+    /// batch's engines. Repeats over time are the response cache's job.
     /// Counts `sim.program_cache.{hit,miss,evict}` into `/metrics`.
     programs: SimProgramCache,
     workloads: Arc<Vec<Workload>>,
@@ -122,12 +123,6 @@ pub struct Handler {
     /// tests), batches run sequentially on the calling thread.
     submitter: OnceLock<Submitter>,
 }
-
-/// Entry bound for the handler's decoded-program cache. Prepared
-/// programs are heavier than response bodies (a scheduled function
-/// plus, lazily, its decode), so the bound is its own knob rather than
-/// the response cache's.
-const PROGRAM_CACHE_CAPACITY: usize = 512;
 
 impl Handler {
     /// A handler over `cache`, reporting into `metrics`, serving suite
@@ -139,7 +134,7 @@ impl Handler {
         batch_max_jobs: usize,
         api_hook: Option<ApiHook>,
     ) -> Handler {
-        let programs = ProgramCache::with_metrics(PROGRAM_CACHE_CAPACITY, metrics.clone());
+        let programs = ProgramCache::with_metrics(batch_max_jobs, metrics.clone());
         Handler {
             metrics,
             cache,

@@ -3,11 +3,14 @@
 //! Decoding a scheduled function into a [`TurboProgram`]
 //! (`crate::TurboProgram`) is pure: the result depends only on the
 //! function and the machine description. The evaluation grid visits the
-//! same (benchmark, model, width) triple once per *cell*, and the serve
-//! pool once per *request* — so without a cache, both pay the decode
-//! (and, upstream, the schedule) over and over. `ProgramCache` makes
-//! the decode-once contract explicit: callers derive a stable `u64` key
-//! (in practice `sentinel_spec::JobSpec::schedule_hash`, which is
+//! same (benchmark, model, width) triple once per *cell*, and a serve
+//! batch once per *job* (its engines share a point) — so without a
+//! cache, both pay the decode (and, upstream, the schedule) over and
+//! over. The grid keeps every triple for the whole run; serve keeps one
+//! batch's worth, since its response cache answers repeats over time.
+//! `ProgramCache` makes the decode-once contract explicit: callers
+//! derive a stable `u64` key (in practice
+//! `sentinel_spec::JobSpec::schedule_hash`, which is
 //! engine-independent) and the first caller per key fills the entry
 //! while concurrent callers for the same key block on the fill instead
 //! of duplicating it.

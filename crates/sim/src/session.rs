@@ -69,7 +69,8 @@ pub enum Engine {
     Fast,
     /// The compiled machine on a decode callers may share: pass a
     /// [`TurboProgram`] kept in a [`ProgramCache`](crate::ProgramCache)
-    /// to [`SimSessionBuilder::program`] to decode once per process.
+    /// to [`SimSessionBuilder::program`] to share one decode across
+    /// sessions.
     Turbo,
 }
 

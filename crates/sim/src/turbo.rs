@@ -25,7 +25,7 @@
 //! scheduled [`Function`]), it can live in a
 //! [`ProgramCache`](crate::ProgramCache) and be shared across sessions,
 //! threads, and requests: decode once per (function, machine) pair per
-//! process, not once per run.
+//! grid run or serve batch, not once per run.
 //!
 //! The engine carries no instrumentation: `run_bare` is its only loop.
 //! A session with a trace sink or [`SimConfig::collect_trace`] runs on

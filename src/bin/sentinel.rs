@@ -46,29 +46,16 @@ fn fail(msg: &str) -> ! {
     exit(1);
 }
 
+/// A number in the assembler's immediate grammar ([`asm::parse_imm`]).
 fn parse_num(s: &str) -> i64 {
-    try_parse_num(s).unwrap_or_else(|| fail(&format!("bad number '{s}'")))
-}
-
-fn try_parse_num(s: &str) -> Option<i64> {
-    let (neg, body) = match s.strip_prefix('-') {
-        Some(b) => (true, b),
-        None => (false, s),
-    };
-    let v = if let Some(hex) = body.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16)
-    } else {
-        body.parse()
-    }
-    .ok()?;
-    Some(if neg { -v } else { v })
+    asm::parse_imm(s).unwrap_or_else(|| fail(&format!("bad number '{s}'")))
 }
 
 /// `--issue N`: an issue width in 1..=[`MAX_WIDTH`], the bound serve and
 /// the fuzzer enforce too; `None` when the flag is absent.
 fn issue_width(args: &Args) -> Option<usize> {
     let s = args.flag("issue")?;
-    let width = try_parse_num(s)
+    let width = asm::parse_imm(s)
         .and_then(|n| usize::try_from(n).ok())
         .filter(|w| (1..=MAX_WIDTH).contains(w));
     Some(width.unwrap_or_else(|| {

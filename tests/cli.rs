@@ -212,6 +212,53 @@ fn a_bad_memory_region_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn numbers_follow_the_immediate_grammar() {
+    // Numeric flags read the assembler's immediate grammar: a doubled
+    // sign, a `+` or a sign after `0x` is a named error, and `i64::MIN`
+    // is a number.
+    let dir = tmpdir("num");
+    let p = write_demo(&dir);
+    let p = p.to_str().unwrap();
+    let map = "0x1000:0x400";
+    for (flags, bad) in [
+        (&["run", p, "--map", map, "--reg", "r4=--5"][..], "--5"),
+        (
+            &["run", p, "--map", map, "--reg", "r4=--9223372036854775808"],
+            "--9223372036854775808",
+        ),
+        (&["run", p, "--map", map, "--reg", "r4=+7"], "+7"),
+        (&["run", p, "--map", "0x-1000:0x400"], "0x-1000"),
+    ] {
+        let out = bin().args(flags).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: bad number '{bad}'")),
+            "{flags:?}: {stderr}"
+        );
+    }
+    let out = bin()
+        .args([
+            "run",
+            p,
+            "--map",
+            map,
+            "--reg",
+            "r4=-9223372036854775808",
+            "--print",
+            "r4",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("r4 = -9223372036854775808"));
+}
+
+#[test]
 fn asm_disasm_roundtrip() {
     let dir = tmpdir("obj");
     let p = write_demo(&dir);

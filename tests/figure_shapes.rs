@@ -3,7 +3,8 @@
 //! We do not chase the paper's absolute numbers (our substrate is a
 //! synthetic-workload simulator, not the authors' testbed); these tests
 //! pin the *shape*: who wins, roughly by how much, and which benchmarks
-//! are insensitive.
+//! are insensitive. README's headline quotes the numbers themselves,
+//! so a test holds it to the golden `reproduce all` report.
 
 use sentinel_bench::figures::{mean_improvement, measure_workloads, BenchSpeedups};
 use sentinel_core::SchedulingModel;
@@ -129,6 +130,52 @@ fn figure_shapes_hold() {
         assert!(
             (0.98..=1.03).contains(&gain),
             "{b}: T/S at 8 = {gain:.2} should be ≈1"
+        );
+    }
+}
+
+/// The words of `text` that quote a measurement: a decimal number or a
+/// percentage, with an optional sign. Issue widths, ablation names
+/// (`A2`) and section numbers (`§3.7`) are not words of this shape.
+fn measured_values(text: &str) -> Vec<&str> {
+    text.split(|c: char| c.is_whitespace() || "()*,;:/`~≈".contains(c))
+        .map(|w| w.trim_end_matches('.'))
+        .filter(|w| {
+            let body = w.strip_prefix(['+', '-']).unwrap_or(w);
+            let number = body.strip_suffix('%').unwrap_or(body);
+            (number.len() < body.len() || number.contains('.'))
+                && number
+                    .split('.')
+                    .all(|part| !part.is_empty() && part.bytes().all(|b| b.is_ascii_digit()))
+        })
+        .collect()
+}
+
+#[test]
+fn readme_headline_quotes_the_golden_report() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let readme = std::fs::read_to_string(format!("{root}/README.md")).unwrap();
+    let golden = std::fs::read_to_string(format!("{root}/tests/golden/reproduce_all.txt")).unwrap();
+    // From the headline to the next section, without the paper's own
+    // values, which README labels "(paper: …)".
+    let start = readme
+        .find("Headline shape at issue 8")
+        .expect("README has its headline");
+    let end = readme[start..]
+        .find("\n## ")
+        .map_or(readme.len(), |e| start + e);
+    let mut headline = readme[start..end].to_string();
+    while let Some(open) = headline.find("(paper:") {
+        let close = open + headline[open..].find(')').expect("a closed aside");
+        headline.replace_range(open..=close, "");
+    }
+    let printed = measured_values(&golden);
+    let quoted = measured_values(&headline);
+    assert!(quoted.len() >= 10, "{quoted:?}");
+    for value in quoted {
+        assert!(
+            printed.contains(&value),
+            "README quotes {value}, which reproduce all does not print"
         );
     }
 }

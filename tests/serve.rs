@@ -17,7 +17,9 @@ use sentinel::trace::serve::{
     BATCH_JOBS, BATCH_JOB_ERRORS, CACHE_DISK_HIT, CACHE_HIT, CACHE_MISS, KEEPALIVE_REUSED, PANICS,
     REJECTED,
 };
-use sentinel::trace::sim::{SIM_PROGRAM_CACHE_HIT, SIM_PROGRAM_CACHE_MISS};
+use sentinel::trace::sim::{
+    SIM_PROGRAM_CACHE_EVICT, SIM_PROGRAM_CACHE_HIT, SIM_PROGRAM_CACHE_MISS,
+};
 
 fn test_config() -> ServerConfig {
     ServerConfig {
@@ -495,6 +497,50 @@ fn replayed_batch_reports_program_cache_hits() {
         "{}",
         text.body
     );
+    drop(client);
+    handle.shutdown();
+}
+
+/// The program cache holds one batch: with a cap of four jobs, five
+/// distinct points evict the oldest, and a batch of the last four
+/// still compiles none of them again.
+#[test]
+fn program_cache_is_bounded_by_the_batch_cap() {
+    let handle = start(ServerConfig {
+        batch_max_jobs: 4,
+        ..test_config()
+    })
+    .unwrap();
+    let addr = handle.addr().to_string();
+    let metrics = handle.metrics();
+    let mut client = Client::new(&addr);
+
+    let suites = ["wc", "cmp", "grep", "eqn", "lex"];
+    for suite in suites {
+        let body = format!(r#"{{"suite":"{suite}","model":"S","width":4}}"#);
+        assert_eq!(client.post_json("/v1/simulate", &body).unwrap().status, 200);
+    }
+    let singles = metrics.snapshot();
+    assert_eq!(singles.counter(SIM_PROGRAM_CACHE_MISS), 5);
+    assert_eq!(singles.counter(SIM_PROGRAM_CACHE_EVICT), 1);
+    assert_eq!(singles.counter(SIM_PROGRAM_CACHE_HIT), 0);
+
+    // Under turbo the jobs miss the response cache (the engine is part
+    // of its key) but not the program cache (it is not part of that).
+    let jobs: Vec<String> = suites[1..]
+        .iter()
+        .map(|suite| {
+            format!(
+                r#"{{"kind":"simulate","suite":"{suite}","model":"S","width":4,"engine":"turbo"}}"#
+            )
+        })
+        .collect();
+    let batch = format!(r#"{{"v":1,"jobs":[{}]}}"#, jobs.join(","));
+    assert_eq!(client.post_json("/v1/batch", &batch).unwrap().status, 200);
+    let after = metrics.snapshot();
+    assert_eq!(after.counter(SIM_PROGRAM_CACHE_HIT), 4);
+    assert_eq!(after.counter(SIM_PROGRAM_CACHE_MISS), 5);
+    assert_eq!(after.counter(SIM_PROGRAM_CACHE_EVICT), 1);
     drop(client);
     handle.shutdown();
 }
