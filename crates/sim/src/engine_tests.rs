@@ -1,21 +1,14 @@
 //! In-crate tests for both machines and the [`crate::sem`] layer's edge
-//! cases.
-//!
-//! Machine construction (`Machine::create`, `TurboMachine::new`) is
-//! crate-private, so the behavioural tests that predate [`SimSession`]
-//! live here rather than under `tests/`. Helpers shared with nothing
-//! else are in [`crate::testutil`].
-//!
-//! [`SimSession`]: crate::SimSession
+//! cases. The machine tests run through sessions; helpers shared with
+//! nothing else are in [`crate::testutil`].
 
-/// Interpreter ([`crate::Machine`]) behaviour: issue, latency, traps,
-/// sentinel deferral, boosting, the store buffer, and tracing.
+/// Interpreter behaviour: issue, latency, traps, sentinel deferral,
+/// boosting, the store buffer, and tracing.
 mod interp {
     use sentinel_isa::{Insn, InsnId, MachineDesc, Opcode, Reg};
     use sentinel_prog::ProgramBuilder;
 
-    use crate::machine::Machine;
-    use crate::testutil::{run_func, unit_mdes};
+    use crate::testutil::{interp, run_func, unit_mdes};
     use crate::{
         ExceptionKind, Recovery, RunOutcome, SimConfig, SimError, SpeculationSemantics, Width,
         GARBAGE, INT_NAN,
@@ -29,7 +22,7 @@ mod interp {
         b.push(Insn::addi(Reg::int(2), Reg::int(1), 1));
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(1)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(1)));
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
         assert_eq!(m.reg(Reg::int(2)).as_i64(), 6);
     }
@@ -64,7 +57,7 @@ mod interp {
         b.push(Insn::addi(Reg::int(3), Reg::int(2), 1));
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(MachineDesc::paper_issue(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(MachineDesc::paper_issue(8)));
         m.memory_mut().map_region(0x1000, 64);
         m.run().unwrap();
         // li@0, ld@1 (ready 3), add@3, halt -> at least 4 cycles.
@@ -83,7 +76,7 @@ mod interp {
         b.switch_to(t);
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
         assert_eq!(m.reg(Reg::int(2)).as_i64(), 0, "post-branch insn skipped");
         assert_eq!(m.stats().branches_taken, 1);
@@ -99,7 +92,7 @@ mod interp {
         b.push(Insn::halt());
         let f = b.finish();
         let ld_id = f.block(f.entry()).insns[1].id;
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(1)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(1)));
         match m.run().unwrap() {
             RunOutcome::Trapped(t) => {
                 assert_eq!(t.excepting_pc, ld_id);
@@ -123,7 +116,7 @@ mod interp {
         let f = b.finish();
         let ld_id = f.block(f.entry()).insns[1].id;
         let check_id = f.block(f.entry()).insns[3].id;
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         match m.run().unwrap() {
             RunOutcome::Trapped(t) => {
                 assert_eq!(t.excepting_pc, ld_id, "sentinel reports the load");
@@ -145,7 +138,7 @@ mod interp {
         let f = b.finish();
         let mut cfg = SimConfig::for_mdes(unit_mdes(8));
         cfg.semantics = SpeculationSemantics::Silent;
-        let mut m = Machine::create(&f, cfg);
+        let mut m = interp(&f, cfg);
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
         assert_eq!(m.reg(Reg::int(2)).data, GARBAGE);
         assert_eq!(m.stats().silent_garbage_writes, 1);
@@ -161,7 +154,7 @@ mod interp {
         b.push(Insn::check_exception(Reg::int(3)));
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         let out = m
             .run_with_recovery(|trap, mem| {
                 // "Page in" the faulting address and retry.
@@ -192,7 +185,7 @@ mod interp {
             let f = build();
             let mut cfg = SimConfig::for_mdes(unit_mdes(4));
             cfg.recovery_penalty = penalty;
-            let mut m = Machine::create(&f, cfg);
+            let mut m = interp(&f, cfg);
             m.run_with_recovery(|_, mem| {
                 if !mem.is_mapped(0x2000, 8) {
                     mem.map_region(0x2000, 8);
@@ -216,7 +209,7 @@ mod interp {
         b.push(Insn::halt());
         let f = b.finish();
         let ld_id = f.block(f.entry()).insns[1].id;
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(4)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(4)));
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
         // The fidelity check of paper §3.2: a hardware PC history queue of
         // the configured depth would have recovered the faulting pc.
@@ -231,7 +224,7 @@ mod interp {
         let f = b.finish();
         let mut cfg = SimConfig::for_mdes(unit_mdes(1));
         cfg.fuel = 100;
-        let mut m = Machine::create(&f, cfg);
+        let mut m = interp(&f, cfg);
         assert_eq!(m.run(), Err(SimError::OutOfFuel));
     }
 
@@ -241,7 +234,7 @@ mod interp {
         b.block("e");
         b.push(Insn::nop());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(1)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(1)));
         assert!(matches!(m.run(), Err(SimError::FellOffEnd(_))));
     }
 
@@ -255,7 +248,7 @@ mod interp {
         b.push(Insn::ld_w(Reg::int(3), Reg::int(1), 0));
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.memory_mut().map_region(0x1000, 64);
         m.run().unwrap();
         assert_eq!(m.reg(Reg::int(3)).as_i64(), 77);
@@ -272,7 +265,7 @@ mod interp {
         b.push(Insn::confirm_store(0));
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.memory_mut().map_region(0x1000, 64);
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
         assert_eq!(m.memory().read_word(0x1000).unwrap(), 55);
@@ -292,7 +285,7 @@ mod interp {
         b.switch_to(t);
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.memory_mut().map_region(0x1000, 64);
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
         assert_eq!(m.memory().read_word(0x1000).unwrap(), 0, "cancelled store");
@@ -307,7 +300,7 @@ mod interp {
         b.push(Insn::st_w(Reg::int(1), Reg::int(1), 0).speculated());
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.memory_mut().map_region(0x1000, 0x2000);
         // The error names the stuck entry: confirm index 0 (most recent).
         assert_eq!(
@@ -330,7 +323,7 @@ mod interp {
         b.push(Insn::halt());
         let f = b.finish();
         let ld_id = f.block(f.entry()).insns[1].id;
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.memory_mut().map_region(0x1000, 64);
         match m.run().unwrap() {
             RunOutcome::Trapped(t) => assert_eq!(t.excepting_pc, ld_id),
@@ -346,7 +339,7 @@ mod interp {
         b.push(Insn::addi(Reg::int(2), Reg::int(1), 0)); // uses r1
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(1)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(1)));
         m.set_stale_tag(Reg::int(1), InsnId(12345));
         assert!(matches!(m.run().unwrap(), RunOutcome::Trapped(_)));
 
@@ -357,7 +350,7 @@ mod interp {
         b.push(Insn::addi(Reg::int(2), Reg::int(1), 0));
         b.push(Insn::halt());
         let g = b.finish();
-        let mut m = Machine::create(&g, SimConfig::for_mdes(unit_mdes(1)));
+        let mut m = interp(&g, SimConfig::for_mdes(unit_mdes(1)));
         m.set_stale_tag(Reg::int(1), InsnId(12345));
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
     }
@@ -376,7 +369,7 @@ mod interp {
         let run = |cache| {
             let mut cfg = SimConfig::for_mdes(MachineDesc::paper_issue(1));
             cfg.cache = cache;
-            let mut m = Machine::create(&f, cfg);
+            let mut m = interp(&f, cfg);
             m.memory_mut().map_region(0x1000, 64);
             m.run().unwrap();
             (m.stats().cycles, m.cache().map(|c| c.stats()))
@@ -406,7 +399,7 @@ mod interp {
         let f = b.finish();
         let mut cfg = SimConfig::for_mdes(MachineDesc::paper_issue(1));
         cfg.cache = Some(crate::cache::CacheConfig::small_l1(20));
-        let mut m = Machine::create(&f, cfg);
+        let mut m = interp(&f, cfg);
         m.memory_mut().map_region(0x1000, 64);
         m.run().unwrap();
         let (hits, misses) = m.cache().unwrap().stats();
@@ -433,7 +426,7 @@ mod interp {
         let g = b.finish();
         let mut cfg = SimConfig::for_mdes(unit_mdes(2));
         cfg.collect_trace = true;
-        let mut m = Machine::create(&g, cfg);
+        let mut m = interp(&g, cfg);
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
         let trace = m.trace();
         assert_eq!(trace.len() as u64, m.stats().dyn_insns);
@@ -457,7 +450,7 @@ mod interp {
         b.block("e");
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(1)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(1)));
         m.run().unwrap();
         assert!(m.trace().is_empty());
     }
@@ -477,7 +470,7 @@ mod interp {
         b.switch_to(t);
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.set_reg(Reg::int(9), 1); // branch untaken (0 != 1)
         m.memory_mut().map_region(0x1000, 64);
         m.memory_mut().write_word(0x1000, 41).unwrap();
@@ -502,7 +495,7 @@ mod interp {
         b.switch_to(t);
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.memory_mut().map_region(0x1000, 64);
         m.memory_mut().write_word(0x1000, 41).unwrap();
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
@@ -526,7 +519,7 @@ mod interp {
         let f = b.finish();
         let ld_id = f.block(e).insns[1].id;
         let br_id = f.block(e).insns[2].id;
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.set_reg(Reg::int(9), 1); // untaken -> commit signals
         match m.run().unwrap() {
             RunOutcome::Trapped(tr) => {
@@ -550,7 +543,7 @@ mod interp {
         b.switch_to(t);
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
     }
 
@@ -573,13 +566,13 @@ mod interp {
         // Case A: second branch taken -> both shadow writes squashed? No:
         // the .b2 entry survived branch 1 (level 2->1) and is squashed by
         // the taken branch 2, as is the .b1 entry.
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.set_reg(Reg::int(9), 1);
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
         assert_eq!(m.reg(Reg::int(3)).as_i64(), 0, "squashed before commit");
         assert_eq!(m.reg(Reg::int(4)).as_i64(), 0);
         // Case B: make both branches untaken (beq 0,9 untaken; bne 0,0 untaken).
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.set_reg(Reg::int(9), 0); // beq 0,0 -> TAKEN. Need different data…
                                    // beq r0, r9: taken iff r9 == 0. Use r9 = 1 for untaken; then
                                    // bne r0, r9: taken iff r9 != 0 -> taken with 1. So with this
@@ -604,7 +597,7 @@ mod interp {
         b.switch_to(t);
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.set_reg(Reg::int(9), 1);
         m.memory_mut().map_region(0x1000, 64);
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
@@ -626,7 +619,7 @@ mod interp {
         b.switch_to(t);
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         m.memory_mut().map_region(0x1000, 64);
         assert_eq!(m.run().unwrap(), RunOutcome::Halted);
         assert_eq!(m.memory().read_word(0x1000).unwrap(), 0, "never committed");
@@ -639,7 +632,7 @@ mod interp {
         b.push(Insn::li(Reg::int(1), 1).boosted(1));
         b.push(Insn::halt());
         let f = b.finish();
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         assert_eq!(m.run(), Err(SimError::ShadowAtHalt(1)));
     }
 
@@ -663,7 +656,7 @@ mod interp {
         let div_id = f.block(f.entry()).insns[2].id;
         let mut cfg = SimConfig::for_mdes(unit_mdes(8));
         cfg.semantics = SpeculationSemantics::NanWrite;
-        let mut m = Machine::create(&f, cfg);
+        let mut m = interp(&f, cfg);
         match m.run().unwrap() {
             RunOutcome::Trapped(t) => {
                 assert_eq!(t.excepting_pc, div_id, "misattributed to the consumer");
@@ -688,7 +681,7 @@ mod interp {
         let f = b.finish();
         let mut cfg = SimConfig::for_mdes(unit_mdes(8));
         cfg.semantics = SpeculationSemantics::NanWrite;
-        let mut m = Machine::create(&f, cfg);
+        let mut m = interp(&f, cfg);
         assert_eq!(m.run().unwrap(), RunOutcome::Halted, "exception lost");
         assert_eq!(m.reg(Reg::int(3)).data, INT_NAN.wrapping_add(1));
     }
@@ -708,7 +701,7 @@ mod interp {
         let fmul_id = f.block(f.entry()).insns[4].id;
         let mut cfg = SimConfig::for_mdes(unit_mdes(8));
         cfg.semantics = SpeculationSemantics::NanWrite;
-        let mut m = Machine::create(&f, cfg);
+        let mut m = interp(&f, cfg);
         match m.run().unwrap() {
             RunOutcome::Trapped(t) => {
                 assert_eq!(t.excepting_pc, fmul_id);
@@ -730,7 +723,7 @@ mod interp {
         let f = b.finish();
         let mut cfg = SimConfig::for_mdes(unit_mdes(8));
         cfg.semantics = SpeculationSemantics::NanWrite;
-        let mut m = Machine::create(&f, cfg);
+        let mut m = interp(&f, cfg);
         m.memory_mut().map_region(0x1000, 64);
         assert!(matches!(
             m.run(),
@@ -749,7 +742,7 @@ mod interp {
         b.push(Insn::halt());
         let f = b.finish();
         let ld_id = f.block(e).insns[1].id;
-        let mut m = Machine::create(&f, SimConfig::for_mdes(unit_mdes(8)));
+        let mut m = interp(&f, SimConfig::for_mdes(unit_mdes(8)));
         match m.run().unwrap() {
             RunOutcome::Trapped(t) => assert_eq!(t.excepting_pc, ld_id),
             other => panic!("expected trap, got {other:?}"),
@@ -762,18 +755,17 @@ mod interp {
 /// differential fuzzer in `tests/fuzz_differential.rs`, which runs it
 /// uninstrumented — test the loop measurements run on.
 mod turbo {
-    use std::sync::Arc;
-
     use sentinel_isa::{Insn, Opcode, Reg};
-    use sentinel_prog::ProgramBuilder;
+    use sentinel_prog::{Function, ProgramBuilder};
 
-    use crate::machine::Machine;
-    use crate::testutil::{paper_mdes, spec_loop};
-    use crate::turbo::{TurboMachine, TurboProgram};
-    use crate::{RunOutcome, SimConfig};
+    use crate::testutil::{interp, paper_mdes, spec_loop};
+    use crate::{Engine, RunOutcome, SimConfig, SimSession};
 
-    fn turbo_for(f: &sentinel_prog::Function, cfg: SimConfig) -> TurboMachine {
-        TurboMachine::new(Arc::new(TurboProgram::new(f, &cfg.mdes)), cfg)
+    fn turbo_for(f: &Function, cfg: SimConfig) -> SimSession<'_> {
+        SimSession::for_function(f)
+            .config(cfg)
+            .engine(Engine::Turbo)
+            .build()
     }
 
     #[test]
@@ -782,7 +774,7 @@ mod turbo {
             let f = spec_loop();
             let cfg = SimConfig::for_mdes(paper_mdes(width));
 
-            let mut interp = Machine::create(&f, cfg.clone());
+            let mut interp = interp(&f, cfg.clone());
             interp.memory_mut().map_region(0x1000, 0x100);
             interp.memory_mut().map_region(0x2000, 8);
             for i in 0..4 {
@@ -827,7 +819,7 @@ mod turbo {
         b.push(Insn::halt());
         let f = b.finish();
         let cfg = SimConfig::default();
-        let mut interp = Machine::create(&f, cfg.clone());
+        let mut interp = interp(&f, cfg.clone());
         let mut turbo = turbo_for(&f, cfg);
         let io = interp.run().unwrap();
         let to = turbo.run().unwrap();
@@ -865,7 +857,7 @@ mod turbo {
         b.push(Insn::halt());
         let f = b.finish();
         let cfg = SimConfig::for_mdes(paper_mdes(8));
-        let mut interp = Machine::create(&f, cfg.clone());
+        let mut interp = interp(&f, cfg.clone());
         interp.memory_mut().map_region(0x1000, 64);
         let mut turbo = turbo_for(&f, cfg);
         turbo.memory_mut().map_region(0x1000, 64);
@@ -884,7 +876,7 @@ mod turbo {
         b.push(Insn::li(Reg::int(1), 1));
         let f = b.finish();
         let cfg = SimConfig::default();
-        let ie = Machine::create(&f, cfg.clone()).run().unwrap_err();
+        let ie = interp(&f, cfg.clone()).run().unwrap_err();
         let te = turbo_for(&f, cfg).run().unwrap_err();
         assert_eq!(ie, te);
     }

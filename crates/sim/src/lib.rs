@@ -7,14 +7,14 @@
 //! * [`exec`] — functional instruction semantics with the paper's trap
 //!   model (loads, stores, integer divide, all fp instructions),
 //! * [`SimSession`] — the session API: pick an [`Engine`], configure,
-//!   run. Two machines sit behind three labels:
-//!   [`Engine::Interpreter`] is the block-walking [`Machine`], the
-//!   oracle; [`Engine::Fast`] (the default) and [`Engine::Turbo`] run
-//!   the compiled machine over an owned decode ([`TurboProgram`]) with
+//!   run. Two loops over one machine state sit behind three labels:
+//!   [`Engine::Interpreter`] walks the block graph and is the timing
+//!   reference; [`Engine::Fast`] (the default) and [`Engine::Turbo`] run
+//!   the compiled loop over an owned decode ([`TurboProgram`]) with
 //!   chained traces — `Turbo` is the label
 //!   whose decode callers share across sessions through a
 //!   [`ProgramCache`]. Traced sessions run on the interpreter whatever
-//!   their label. Both machines route every architectural rule through
+//!   their label. Both loops route every architectural rule through
 //!   [`sem`],
 //! * [`sem`] — the single-source-of-truth semantics layer: **Table 1**
 //!   (exception detection with sentinel scheduling), **Table 2**
@@ -67,6 +67,7 @@ pub mod verify;
 mod machine;
 mod progcache;
 mod session;
+mod state;
 mod turbo;
 
 #[cfg(test)]
@@ -75,7 +76,7 @@ mod engine_tests;
 mod testutil;
 
 pub use except::{ExceptionKind, PcHistoryQueue, Trap};
-pub use machine::{Machine, Recovery, RunOutcome, SimConfig, SimError, TraceEvent};
+pub use machine::{Recovery, RunOutcome, SimConfig, SimError, TraceEvent};
 pub use memory::{Memory, Width};
 pub use progcache::ProgramCache;
 pub use regfile::{RegEvent, RegFile, TaggedValue};

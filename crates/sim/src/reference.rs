@@ -3,7 +3,7 @@
 //! This is a deliberately independent, minimal implementation: it executes
 //! the *original* (unscheduled) program one instruction at a time with
 //! precise exceptions, no exception tags, no store buffer, and no timing.
-//! Scheduled code run on the full [`Machine`](crate::Machine) must match
+//! Scheduled code run on a [`SimSession`](crate::SimSession) must match
 //! its final architectural state and (for exception-precise models) its
 //! trap.
 

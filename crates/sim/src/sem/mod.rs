@@ -1,11 +1,11 @@
 //! The single-source-of-truth architectural semantics layer.
 //!
-//! Both machines — the block-walking interpreter
-//! ([`Machine`](crate::Machine)) and the compiled machine behind the
-//! `fast` and `turbo` engine labels (see [`Engine`](crate::Engine)) —
-//! are *timing* machines: they decide when an instruction issues and
-//! what each stall costs. What an instruction *does* to architectural
-//! state is defined exactly once, here:
+//! Both machines — the block-walking interpreter and the compiled
+//! machine behind the `fast` and `turbo` engine labels (see
+//! [`Engine`](crate::Engine)) — are *timing* loops over one machine
+//! state: they decide when an instruction issues and what each stall
+//! costs. What an instruction *does* to architectural state is defined
+//! exactly once, here:
 //!
 //! * `tag` — Table 1: the register exception-tag read/propagate/report
 //!   rules for computational instructions, plus the alternative §2.4
@@ -19,8 +19,8 @@
 //!   commit-or-squash logic for instruction boosting (§2.3).
 //!
 //! Each rule is a pure(ish) function over `ArchState`, a bundle of
-//! mutable borrows of an engine's architectural state. Engines keep
-//! fetch, issue, the register scoreboard, and stall attribution to
+//! mutable borrows of the machine state's architectural part. The loops
+//! keep fetch, issue, the register scoreboard, and stall attribution to
 //! themselves and route every architectural effect through this module,
 //! so a semantic rule is written once and the differential fuzzer
 //! (`tests/fuzz_differential.rs`) holds both machines to byte-identical
@@ -105,10 +105,10 @@ pub(crate) fn nan_bits_for(d: Reg) -> u64 {
     }
 }
 
-/// Mutable borrows of everything architectural an engine owns, bundled
-/// so a semantic rule in [`tag`]/[`mem`]/[`boost`] can be written once.
-/// Engines construct one per instruction from their own (disjoint)
-/// fields; timing state never enters.
+/// Mutable borrows of everything architectural in the machine state,
+/// bundled so a semantic rule in [`tag`]/[`mem`]/[`boost`] can be
+/// written once. The machine state's `arch` builds one; timing state
+/// never enters.
 pub(crate) struct ArchState<'s> {
     /// The exception-tagged register file.
     pub regs: &'s mut RegFile,

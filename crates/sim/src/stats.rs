@@ -4,7 +4,7 @@ use std::fmt;
 
 use sentinel_trace::StallCounts;
 
-/// Counters collected by a [`Machine`](crate::Machine) run.
+/// Counters collected by a [`SimSession`](crate::SimSession) run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Total cycles (the paper's performance metric, §5.1).

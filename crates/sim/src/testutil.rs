@@ -7,9 +7,8 @@
 use sentinel_isa::{Insn, MachineDesc, Opcode, Reg};
 use sentinel_prog::{Function, ProgramBuilder};
 
-use crate::machine::Machine;
 use crate::stats::Stats;
-use crate::{RunOutcome, SimConfig};
+use crate::{Engine, RunOutcome, SimConfig, SimSession};
 
 /// A unit-latency machine at `width` — schedule lengths are easy to
 /// count by hand.
@@ -22,10 +21,18 @@ pub(crate) fn paper_mdes(width: usize) -> MachineDesc {
     MachineDesc::paper_issue(width)
 }
 
+/// A session over `f` on the interpreter.
+pub(crate) fn interp(f: &Function, config: SimConfig) -> SimSession<'_> {
+    SimSession::for_function(f)
+        .config(config)
+        .engine(Engine::Interpreter)
+        .build()
+}
+
 /// Runs `f` on the interpreter with a unit-latency machine and a data
 /// region mapped at `0x1000`, returning the outcome and final stats.
 pub(crate) fn run_func(f: &Function, width: usize) -> (RunOutcome, Stats) {
-    let mut m = Machine::create(f, SimConfig::for_mdes(unit_mdes(width)));
+    let mut m = interp(f, SimConfig::for_mdes(unit_mdes(width)));
     m.memory_mut().map_region(0x1000, 0x1000);
     let o = m.run().unwrap();
     (o, *m.stats())

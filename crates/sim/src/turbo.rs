@@ -3,9 +3,10 @@
 //! [`TurboMachine`] is the throughput engine behind
 //! [`SimSession`](crate::SimSession); the `fast` and `turbo` engine
 //! labels both run it. It executes a [`TurboProgram`] — a one-time,
-//! *owned* lowering of the block graph — and shares every
-//! architectural rule with the interpreter through [`crate::sem`]; only
-//! dispatch and the (deliberately identical) timing model are local:
+//! *owned* lowering of the block graph — over the machine state it
+//! shares with the interpreter ([`crate::state`]), and routes every
+//! architectural rule through [`crate::sem`]; only dispatch and the
+//! (deliberately identical) timing model are local:
 //!
 //! * **Decode once** — the interpreter walks the block graph as it
 //!   executes: every fallthrough re-scans the layout, every operand
@@ -37,19 +38,16 @@
 use std::sync::Arc;
 
 use sentinel_isa::{BlockId, Insn, InsnId, MachineDesc, OpClass, Opcode, Reg};
-use sentinel_prog::profile::Profile;
 use sentinel_prog::Function;
 use sentinel_trace::StallReason;
 
-use crate::except::{ExceptionKind, PcHistoryQueue, Trap};
+use crate::except::{PcHistoryQueue, Trap};
 use crate::exec::branch_taken;
 use crate::hash::FastMap;
 use crate::memory::Memory;
-use crate::regfile::{RegBanks, RegFile, TaggedValue};
-use crate::sem::boost::ShadowState;
-use crate::sem::storebuf::StoreBuffer;
-use crate::sem::{self, ArchState};
-use crate::stats::Stats;
+use crate::regfile::RegBanks;
+use crate::sem;
+use crate::state::MachineState;
 use crate::{Recovery, RunOutcome, SimConfig, SimError};
 
 /// Sentinel index meaning "no register / no resolution".
@@ -309,157 +307,46 @@ enum Step {
     Trap(Trap),
 }
 
-/// The turbo engine: execute an owned [`TurboProgram`].
+/// The turbo engine: execute an owned [`TurboProgram`] over the shared
+/// [`MachineState`].
 ///
 /// Construct through [`SimSession`](crate::SimSession) with
 /// [`Engine::Fast`](crate::Engine::Fast) or
-/// [`Engine::Turbo`](crate::Engine::Turbo) and no instrumentation. The
-/// public surface mirrors [`Machine`](crate::Machine)'s uninstrumented
-/// one so sessions can delegate uniformly.
+/// [`Engine::Turbo`](crate::Engine::Turbo) and no instrumentation.
 pub(crate) struct TurboMachine {
     prog: Arc<TurboProgram>,
-    config: SimConfig,
-    regs: RegFile,
-    mem: Memory,
-    sb: StoreBuffer,
-    pcq: PcHistoryQueue,
-    /// Debug side-table: excepting PC → concrete cause.
-    kinds: FastMap<InsnId, ExceptionKind>,
-    stats: Stats,
-    profile: Profile,
-    /// Shadow register file + shadow store buffers (boosting, §2.3).
-    shadow: ShadowState,
-    /// Optional timing-only data cache.
-    cache: Option<crate::cache::DataCache>,
-    // --- timing state ---
-    cycle: u64,
-    slots_used: usize,
-    branches_used: usize,
-    /// Dense register scoreboard indexed by decoded register slot.
-    ready: Vec<u64>,
-    issue_width: usize,
-    branches_per_cycle: usize,
+    /// The machine state both loops share.
+    pub(crate) st: MachineState,
     // --- dense profile / PC-history accumulators ---
     // The shared `Profile` hashes on every block entry and branch; the
     // hot loop instead bumps one array slot (indexed by resolution or
     // flat pc) and `flush_observables` folds the counts into the
-    // canonical forms on every run exit, so `profile()` and
-    // `pc_history()` read back exactly what the interpreter produces.
+    // canonical forms on every run exit, so the session's profile and
+    // PC history read back exactly what the interpreter produces.
     /// Entry count per resolution index.
     res_counts: Vec<u64>,
     /// Execution count per flat index (control-transfer instructions).
     br_exec: Vec<u64>,
     /// Taken count per flat index.
     br_taken: Vec<u64>,
-    /// Fixed-size PC ring (last `pc_depth` issued PCs, oldest at
-    /// `pc_head` once full).
+    /// Fixed-size PC ring (the last `pc_history_depth` issued PCs,
+    /// oldest at `pc_head` once full).
     pc_ring: Vec<InsnId>,
     pc_head: usize,
-    pc_depth: usize,
 }
-
-// The evaluation grid runs cells on scoped worker threads; the engine
-// must move there exactly like the interpreter.
-const _: () = {
-    const fn send<T: Send>() {}
-    send::<TurboMachine>();
-};
 
 impl TurboMachine {
     /// Creates an engine over a (possibly cache-shared) decoded program.
-    /// Register-file sizing matches the interpreter: the larger of the
-    /// machine description and the registers the program names.
     pub fn new(prog: Arc<TurboProgram>, config: SimConfig) -> TurboMachine {
         TurboMachine {
-            regs: prog.banks.file(),
-            mem: Memory::new(),
-            sb: StoreBuffer::new(config.mdes.store_buffer_size()),
-            pcq: PcHistoryQueue::new(config.pc_history_depth),
-            kinds: FastMap::default(),
-            stats: Stats::default(),
-            profile: Profile::new(),
-            shadow: ShadowState::default(),
-            cache: config.cache.clone().map(crate::cache::DataCache::new),
-            cycle: 0,
-            slots_used: 0,
-            branches_used: 0,
-            ready: vec![0; prog.banks.slots()],
-            issue_width: config.mdes.issue_width(),
-            branches_per_cycle: config.mdes.branches_per_cycle(),
             res_counts: vec![0; prog.resolutions.len()],
             br_exec: vec![0; prog.insns.len()],
             br_taken: vec![0; prog.insns.len()],
             pc_ring: Vec::with_capacity(config.pc_history_depth),
             pc_head: 0,
-            pc_depth: config.pc_history_depth,
+            st: MachineState::new(prog.banks, config),
             prog,
-            config,
         }
-    }
-
-    /// The data cache, if one is configured.
-    pub fn cache(&self) -> Option<&crate::cache::DataCache> {
-        self.cache.as_ref()
-    }
-
-    /// Sets an integer or fp register to raw bits (untagged).
-    pub fn set_reg(&mut self, r: Reg, bits: u64) {
-        self.regs.write_clean(r, bits);
-    }
-
-    /// Sets an fp register from an `f64`.
-    pub fn set_reg_f64(&mut self, r: Reg, v: f64) {
-        self.regs.write_clean(r, v.to_bits());
-    }
-
-    /// Sets a register's exception tag with stale contents.
-    pub fn set_stale_tag(&mut self, r: Reg, pc: InsnId) {
-        self.regs.write(r, TaggedValue::excepting(pc));
-    }
-
-    /// Reads a register with its tag.
-    pub fn reg(&self, r: Reg) -> TaggedValue {
-        self.regs.read(r)
-    }
-
-    /// Register-bank sizes `(int, fp)`.
-    pub(crate) fn reg_sizes(&self) -> (usize, usize) {
-        self.regs.sizes()
-    }
-
-    /// The memory.
-    pub fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    /// Mutable memory access (initialization, recovery handlers).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// Statistics of the run so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Execution profile of the run so far.
-    pub fn profile(&self) -> &Profile {
-        &self.profile
-    }
-
-    /// The PC history queue (fidelity checks).
-    pub fn pc_history(&self) -> &PcHistoryQueue {
-        &self.pcq
-    }
-
-    /// Runs to completion.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`]; architectural traps are a [`RunOutcome`], not an
-    /// error.
-    pub fn run(&mut self) -> Result<RunOutcome, SimError> {
-        self.run_with_recovery(|_, _| Recovery::Abort)
     }
 
     /// Applies a pre-resolved control transfer: bumps the resolution's
@@ -474,59 +361,46 @@ impl TurboMachine {
     }
 
     /// Folds the dense accumulators into the canonical observable forms
-    /// — the shared [`Profile`] and [`PcHistoryQueue`] — and resets the
+    /// — the shared [`Profile`](sentinel_prog::profile::Profile) and
+    /// [`PcHistoryQueue`] — and resets the
     /// run-scoped counters. Called on every exit path of a run, so the
-    /// `profile()` / `pc_history()` accessors are byte-identical to the
-    /// other engines whenever a caller can reach them.
+    /// session's profile and PC history match the interpreter's whenever
+    /// a caller can reach them.
     fn flush_observables(&mut self) {
         let prog = Arc::clone(&self.prog);
+        let profile = &mut self.st.profile;
         for (idx, c) in self.res_counts.iter_mut().enumerate() {
             if *c > 0 {
                 for &b in &prog.resolutions[idx].enters {
-                    *self.profile.block_entries.entry(b).or_insert(0) += *c;
+                    *profile.block_entries.entry(b).or_insert(0) += *c;
                 }
                 *c = 0;
             }
         }
         for (i, c) in self.br_exec.iter_mut().enumerate() {
             if *c > 0 {
-                *self
-                    .profile
-                    .branch_executed
-                    .entry(prog.insns[i].id)
-                    .or_insert(0) += *c;
+                *profile.branch_executed.entry(prog.insns[i].id).or_insert(0) += *c;
                 *c = 0;
             }
         }
         for (i, c) in self.br_taken.iter_mut().enumerate() {
             if *c > 0 {
-                *self
-                    .profile
-                    .branch_taken
-                    .entry(prog.insns[i].id)
-                    .or_insert(0) += *c;
+                *profile.branch_taken.entry(prog.insns[i].id).or_insert(0) += *c;
                 *c = 0;
             }
         }
-        let mut q = PcHistoryQueue::new(self.pc_depth);
-        let full = self.pc_ring.len() == self.pc_depth;
+        let depth = self.st.config.pc_history_depth;
+        let mut q = PcHistoryQueue::new(depth);
+        let full = self.pc_ring.len() == depth;
         for k in 0..self.pc_ring.len() {
-            let idx = if full {
-                (self.pc_head + k) % self.pc_depth
-            } else {
-                k
-            };
+            let idx = if full { (self.pc_head + k) % depth } else { k };
             q.record(self.pc_ring[idx]);
         }
-        self.pcq = q;
+        self.st.pcq = q;
     }
 
-    /// Runs with an exception-recovery handler (paper §3.7).
-    ///
-    /// # Errors
-    ///
-    /// In addition to [`TurboMachine::run`]'s errors:
-    /// [`SimError::RecoveryLoop`] and [`SimError::UnknownRecoveryPc`].
+    /// Runs with an exception-recovery handler (paper §3.7); see
+    /// [`SimSession::run_with_recovery`](crate::SimSession::run_with_recovery).
     pub fn run_with_recovery<H>(&mut self, handler: H) -> Result<RunOutcome, SimError>
     where
         H: FnMut(&Trap, &mut Memory) -> Recovery,
@@ -545,37 +419,24 @@ impl TurboMachine {
         let prog = Arc::clone(&self.prog);
         let mut pc = self.enter(&prog, prog.entry)?;
         loop {
-            match self.run_bare(&prog, &mut pc)? {
-                Step::Halt => {
-                    let flushed = sem::mem::flush_at_halt(&mut self.sb, &mut self.mem);
-                    self.sync_sb_stats();
-                    flushed?;
-                    self.finalize_cycles();
-                    return Ok(RunOutcome::Halted);
+            let trap = match self.run_bare(&prog, &mut pc)? {
+                Step::Halt => return self.st.halt(),
+                Step::Trap(trap) => trap,
+            };
+            match handler(&trap, &mut self.st.mem) {
+                Recovery::Resume => {
+                    self.st.count_recovery()?;
+                    let Some(&rpc) = prog.flat_of.get(&trap.excepting_pc) else {
+                        return Err(SimError::UnknownRecoveryPc(trap.excepting_pc));
+                    };
+                    let at = self.st.cycle;
+                    self.st.sb.cancel_probationary(at);
+                    let penalty = self.st.config.recovery_penalty;
+                    self.st
+                        .advance_cycle(at + 1 + penalty, StallReason::Recovery);
+                    pc = rpc;
                 }
-                Step::Trap(trap) => match handler(&trap, &mut self.mem) {
-                    Recovery::Resume => {
-                        if self.stats.recoveries >= self.config.max_recoveries {
-                            return Err(SimError::RecoveryLoop);
-                        }
-                        self.stats.recoveries += 1;
-                        let Some(&rpc) = prog.flat_of.get(&trap.excepting_pc) else {
-                            return Err(SimError::UnknownRecoveryPc(trap.excepting_pc));
-                        };
-                        self.sb.cancel_probationary(self.cycle);
-                        self.advance_cycle(
-                            self.cycle + 1 + self.config.recovery_penalty,
-                            StallReason::Recovery,
-                        );
-                        pc = rpc;
-                    }
-                    Recovery::Abort => {
-                        self.sb.flush(&mut self.mem);
-                        self.sync_sb_stats();
-                        self.finalize_cycles();
-                        return Ok(RunOutcome::Trapped(trap));
-                    }
-                },
+                Recovery::Abort => return Ok(self.st.abort(trap)),
             }
         }
     }
@@ -583,57 +444,34 @@ impl TurboMachine {
     /// The hot loop: runs until a halt or trap, advancing `pc` through
     /// fallthroughs and chained transfers internally.
     ///
-    /// `self` splits into disjoint field borrows up front: the semantic
-    /// fields feed ONE long-lived [`ArchState`] for the whole run
-    /// (instead of rebuilding the bundle per instruction), and the
-    /// timing front end — readiness, issue arbitration, stall
-    /// attribution, PC history — is the interpreter's timing model,
-    /// written over locals the compiler can keep in registers.
-    /// Counters mirror into locals and flush back at the single exit;
-    /// `sem` never reads them mid-run.
+    /// One long-lived [`sem::ArchState`] serves the whole run (instead of a
+    /// bundle rebuilt per instruction), and the timing front end —
+    /// readiness, issue arbitration, stall attribution, PC history — is
+    /// the interpreter's timing model, written over locals the compiler
+    /// can keep in registers. The issue cursor, the scoreboard and the
+    /// counters move into locals here and back at the single exit; `sem`
+    /// never reads them mid-run.
     fn run_bare(&mut self, prog: &TurboProgram, pc: &mut u32) -> Result<Step, SimError> {
-        let fuel = self.config.fuel;
-        let issue_width = self.issue_width;
-        let branches_per_cycle = self.branches_per_cycle;
         let TurboMachine {
-            config,
-            regs,
-            mem,
-            sb,
-            kinds,
-            stats,
-            shadow,
-            cache,
-            cycle: cycle_f,
-            slots_used: slots_f,
-            branches_used: branches_f,
-            ready,
+            st,
             res_counts,
             br_exec,
             br_taken,
             pc_ring,
             pc_head,
-            pc_depth,
             ..
         } = self;
-        let pc_depth = *pc_depth;
-        let mut arch = ArchState {
-            regs,
-            mem,
-            sb,
-            shadow,
-            kinds,
-            stats,
-            cache,
-            semantics: config.semantics,
-        };
+        let fuel = st.config.fuel;
+        let issue_width = st.config.mdes.issue_width();
+        let branches_per_cycle = st.config.mdes.branches_per_cycle();
+        let pc_depth = st.config.pc_history_depth;
+        let mut ready = std::mem::take(&mut st.ready);
+        let (mut cycle, mut slots, mut branches) = (st.cycle, st.slots_used, st.branches_used);
+        let mut arch = st.arch();
         let mut dyn_insns = arch.stats.dyn_insns;
         let (mut spec, mut boost, mut checks, mut issuing) = (0u64, 0u64, 0u64, 0u64);
-        let mut cycle = *cycle_f;
-        let mut slots = *slots_f;
-        let mut branches = *branches_f;
 
-        /// [`TurboMachine::advance_cycle`] over the locals.
+        /// [`MachineState::advance_cycle`] over the locals.
         macro_rules! advance {
             ($to:expr, $reason:expr) => {{
                 let to = $to;
@@ -839,41 +677,9 @@ impl TurboMachine {
         arch.stats.dyn_boosted += boost;
         arch.stats.dyn_checks += checks;
         arch.stats.issuing_cycles += issuing;
-        *cycle_f = cycle;
-        *slots_f = slots;
-        *branches_f = branches;
+        st.ready = ready;
+        (st.cycle, st.slots_used, st.branches_used) = (cycle, slots, branches);
         res
-    }
-
-    fn finalize_cycles(&mut self) {
-        self.stats.cycles = self.cycle + 1;
-        debug_assert_eq!(
-            self.stats.issuing_cycles + self.stats.stalls.total(),
-            self.stats.cycles,
-            "stall attribution must cover every non-issuing cycle"
-        );
-    }
-
-    fn sync_sb_stats(&mut self) {
-        let (rel, can, fwd, stall) = self.sb.stats();
-        self.stats.sb_releases = rel;
-        self.stats.sb_cancels = can;
-        self.stats.sb_forwards = fwd;
-        self.stats.sb_stall_cycles = stall;
-    }
-
-    /// Moves the pipeline to cycle `to`, charging the non-issuing cycles
-    /// to `reason` (the recovery penalty between `run_bare` calls).
-    fn advance_cycle(&mut self, to: u64, reason: StallReason) {
-        if to > self.cycle {
-            let stalled = (to - self.cycle - 1) + u64::from(self.slots_used == 0);
-            if stalled > 0 {
-                self.stats.stalls.add(reason, stalled);
-            }
-            self.cycle = to;
-            self.slots_used = 0;
-            self.branches_used = 0;
-        }
     }
 }
 
