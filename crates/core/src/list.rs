@@ -290,6 +290,27 @@ pub fn schedule_block(
                     } else {
                         priority.push(1);
                     }
+                    // A check reads its register's tag, so it also goes
+                    // before the next instruction that overwrites that
+                    // register, wherever that one is hoisted to. (A
+                    // store defines no register.)
+                    let checked = g.nodes[node].insn.def();
+                    if let Some(w) = checked
+                        .and_then(|d| (p + 1..orig_n).find(|&q| g.nodes[q].insn.def() == Some(d)))
+                    {
+                        add_live_edge(
+                            g,
+                            &mut sched,
+                            &mut earliest,
+                            &mut pending,
+                            Dep {
+                                from: j,
+                                to: w,
+                                latency: 0,
+                                kind: DepKind::Sentinel,
+                            },
+                        );
+                    }
 
                     // Recovery restriction 4 (dynamic half): restartable
                     // inputs survive to the sentinel.
