@@ -31,11 +31,11 @@ use sentinel_workloads::Workload;
 /// Largest issue width a request may ask for (guards allocation).
 pub const MAX_WIDTH: usize = 64;
 
-/// Most instructions one block of a request's program may hold.
-/// Memory-ordering edges grow with loads × may-alias stores, so one
-/// 6,000-instruction block of alternating stores and loads carries
-/// 4.5 million edges (about 128 MiB while it compiles). The largest
-/// suite superblock is 55 instructions, 217 after ×4 unrolling.
+/// Most instructions one block of a request's program may hold. The
+/// largest suite superblock is 55 instructions, 217 after ×4 unrolling.
+/// Branch and memory-ordering edges are now linear in the block, but no
+/// sweep of large random blocks has yet shown every compile pass to be,
+/// so the cap stays.
 pub const MAX_BLOCK_INSNS: usize = 512;
 
 /// Most instructions a request's program may hold in total.
@@ -1228,9 +1228,9 @@ done:
 
     #[test]
     fn oversized_programs_are_refused_before_compiling() {
-        // 6,001 instructions in one block. Its branches alone would now
-        // schedule quickly, but memory-ordering edges still grow with
-        // loads × may-alias stores, so the block limit stays.
+        // 6,001 instructions in one block. Its branch and memory edges
+        // are linear now, but the block limit stays until large random
+        // blocks are shown to compile in linear time too.
         let big = json_str(&ld_beq_chain(2_000));
         for err in [
             compile_req(&format!(r#"{{"source":{big}}}"#))
