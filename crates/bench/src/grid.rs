@@ -21,7 +21,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sentinel_core::SchedulingModel;
@@ -436,29 +436,8 @@ impl GridSession {
     /// Measures the missing cells and commits them to the cache in plan
     /// order.
     fn run_missing(&self, missing: &[Cell]) {
-        if missing.is_empty() {
-            return;
-        }
-        let workers = self.jobs.min(missing.len());
-        let slots: Vec<OnceLock<CellOutcome>> = missing.iter().map(|_| OnceLock::new()).collect();
-        if workers <= 1 {
-            for (cell, slot) in missing.iter().zip(&slots) {
-                let _ = slot.set(self.run_cell(cell));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cell) = missing.get(i) else { break };
-                        let _ = slots[i].set(self.run_cell(cell));
-                    });
-                }
-            });
-        }
-        for (cell, slot) in missing.iter().zip(slots) {
-            let outcome = slot.into_inner().expect("worker filled every slot");
+        let outcomes = parallel_map(self.jobs, missing, |c| self.run_cell(c));
+        for (cell, outcome) in missing.iter().zip(outcomes) {
             let key = self.cell_key(cell);
             self.cache.insert(cell.clone(), key.as_deref(), outcome);
         }
@@ -578,11 +557,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Applies `f` to every item on up to `jobs` scoped worker threads,
 /// returning results in item order (a deterministic parallel `map`).
 ///
-/// Used by the ablations whose per-benchmark work is not a pure grid
-/// cell (program-mutating transforms such as superblock re-formation or
-/// unrolling) but is still embarrassingly parallel. A panic in `f`
-/// propagates — unlike grid cells, these transforms are expected to be
-/// infallible.
+/// The grid evaluates its missing cells through it (each cell catches
+/// its own panic and degrades to an error row), and so do the ablations
+/// whose per-benchmark work is not a pure grid cell (program-mutating
+/// transforms such as superblock re-formation or unrolling) but is
+/// still embarrassingly parallel. A panic in `f` propagates: those
+/// transforms are expected to be infallible.
 pub fn parallel_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
